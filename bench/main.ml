@@ -87,6 +87,39 @@ let nnls_g, nnls_c =
   let b = Array.init (2 * n) (fun _ -> Ic_prng.Rng.float_range rng (-1.) 2.) in
   (Ic_linalg.Mat.gram a, Ic_linalg.Mat.mulv_t a b)
 
+(* A Géant activity system whose optimum is not interior: the first bin of
+   day 1 that leaves the interior under day 0's 6-sweep stable-fP fit (the
+   streaming engine's daily refit), with the Gram's cached factor as the
+   engine's prior passes it. Lazy, so only the benchmark that uses it pays
+   for the fit. *)
+let nnls_fallback =
+  lazy
+    (let week =
+       Ic_datasets.Dataset.week (Ic_datasets.Geant.generate ~weeks:1 ()) 0
+     in
+     let fitted =
+       Ic_core.Fit.fit_stable_fp
+         ~options:{ Ic_core.Fit.default_options with max_sweeps = 6 }
+         (Ic_traffic.Series.sub week ~pos:0 ~len:288)
+     in
+     let ({ f; preference; _ } : Ic_core.Params.stable_fp) = fitted.params in
+     let design = Ic_core.Estimate_a.design_matrix ~f ~preference in
+     let g = Ic_linalg.Mat.gram design in
+     let factor = Ic_linalg.Nnls.full_factor g in
+     let rec first_fallback k =
+       let tm = Ic_traffic.Series.tm week (288 + k) in
+       let c =
+         Ic_linalg.Mat.mulv_t design
+           (Array.append
+              (Ic_traffic.Marginals.ingress tm)
+              (Ic_traffic.Marginals.egress tm))
+       in
+       if Array.for_all (fun z -> z > 0.) (Ic_linalg.Chol.solve factor c) then
+         first_fallback (k + 1)
+       else c
+     in
+     (g, factor, first_fallback 0))
+
 let spd_122 =
   let rng = Ic_prng.Rng.create 6 in
   let m = 122 in
@@ -165,6 +198,10 @@ let ablation_tests =
              ~col_targets:egress));
     Test.make ~name:"ablation/nnls-active-set"
       (Staged.stage (fun () -> Ic_linalg.Nnls.solve_gram nnls_g nnls_c));
+    Test.make ~name:"linalg/nnls-fallback"
+      (Staged.stage (fun () ->
+           let g, factor, c = Lazy.force nnls_fallback in
+           Ic_linalg.Nnls.solve_gram ~factor g c));
     Test.make ~name:"ablation/ls-then-clamp"
       (Staged.stage (fun () ->
            let ch =

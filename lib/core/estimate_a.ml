@@ -27,18 +27,15 @@ let activities ~f ~preference ~ingress ~egress =
 
 (* The design and its Gram depend only on (f, preference) — for a streaming
    engine those are frozen between refits, so per bin only the right-hand
-   side changes. A cache freezes both and answers each bin with one
-   [mulv_t] plus an interior-first NNLS (see [Nnls.solve_gram_full_first];
-   within solver tolerance of [activities], and exactly it whenever the
-   active-set path would end with every coordinate passive). *)
+   side changes. A cache freezes both, plus the Gram's ridged factor that
+   [Nnls.solve_gram ?factor] uses for its first, full-set solve, and answers
+   each bin with one [mulv_t] and one NNLS call, bit-identical to
+   [activities]. *)
 type cache = {
   c_n : int;
   c_design : Mat.t;
   c_gram : Mat.t;
   c_factor : Ic_linalg.Chol.t;
-      (* Factor of [c_gram]'s full normal system: the interior fast path of
-         [solve_gram_full_first] then skips the per-bin refactorization with
-         bit-identical results (see [Nnls.full_factor]). *)
 }
 
 let make_cache ~f ~preference =
@@ -56,26 +53,22 @@ let activities_cached cache ~ingress ~egress =
   if Array.length ingress <> n || Array.length egress <> n then
     invalid_arg "Estimate_a.activities_cached: dimension mismatch";
   let b = Array.append ingress egress in
-  Ic_linalg.Nnls.solve_gram_full_first ~factor:cache.c_factor cache.c_gram
+  Ic_linalg.Nnls.solve_gram ~factor:cache.c_factor cache.c_gram
     (Mat.mulv_t cache.c_design b)
 
 let prior_series ~f ~preference series =
   let n = Ic_traffic.Series.size series in
   if Array.length preference <> n then
     invalid_arg "Estimate_a.prior_series: dimension mismatch";
-  (* The design depends only on (f, preference), so its Gram matrix is
-     shared by every bin; per bin only the right-hand side changes.
-     [Nnls.solve design b] is exactly [solve_gram (gram design)
-     (design^T b)], so this matches per-bin [activities] bit for bit. *)
-  let design = design_matrix ~f ~preference in
-  let gram = Mat.gram design in
+  (* One cache for every bin, bit-identical to per-bin [activities]. *)
+  let cache = make_cache ~f ~preference in
   let tms =
     Array.init (Ic_traffic.Series.length series) (fun k ->
         let tm = Ic_traffic.Series.tm series k in
-        let ingress = Ic_traffic.Marginals.ingress tm in
-        let egress = Ic_traffic.Marginals.egress tm in
-        let b = Array.append ingress egress in
-        let activity = Ic_linalg.Nnls.solve_gram gram (Mat.mulv_t design b) in
+        let activity =
+          activities_cached cache ~ingress:(Ic_traffic.Marginals.ingress tm)
+            ~egress:(Ic_traffic.Marginals.egress tm)
+        in
         Model.simplified ~f ~activity ~preference)
   in
   Ic_traffic.Series.make series.Ic_traffic.Series.binning tms

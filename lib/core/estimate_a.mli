@@ -39,11 +39,11 @@ val activities_cached :
   ingress:Ic_linalg.Vec.t ->
   egress:Ic_linalg.Vec.t ->
   Ic_linalg.Vec.t
-(** {!activities} through a cache: one [designᵀ b] product plus an
-    interior-first NNLS ({!Ic_linalg.Nnls.solve_gram_full_first}). Agrees
-    with {!activities} to solver tolerance, and bit-exactly whenever the
-    active-set iteration would terminate with every coordinate passive —
-    the overwhelmingly common case for traffic marginals. *)
+(** {!activities} through a cache: one [designᵀ b] product plus one
+    {!Ic_linalg.Nnls.solve_gram} call on the cached factor, bit-identical
+    to {!activities}. An interior bin costs one triangular solve; 37–82% of
+    a Géant day's bins, under a fit of the day before, are not interior
+    and take the warm-started active-set path. *)
 
 val prior_series :
   f:float ->

@@ -30,10 +30,10 @@ type 'p fitted = {
   sweeps : int;
 }
 
-(* Solve the normal-equation system G x = c under x >= 0. The unconstrained
-   solution is usually feasible here (activities and preferences are interior
-   for realistic traffic), so try a plain Cholesky solve first and fall back
-   to Lawson-Hanson only when it goes negative. *)
+(* Solve the normal-equation system G x = c under x >= 0. Try a plain
+   Cholesky solve first and fall back to (warm-started) Lawson-Hanson only
+   when it goes negative: on a Géant day about three block solves in four
+   are feasible this way. *)
 let solve_nonneg g c =
   let feasible x = Array.for_all (fun v -> v >= -1e-9 *. (1. +. Float.abs v)) x in
   match Ic_linalg.Chol.factorize g with
@@ -303,15 +303,20 @@ let fit_stable_fp_single ~kernels ~options series =
   let weights = weights_of_norms norms in
   let f = ref options.f_init in
   let p = ref (initial_preference ~f_init:options.f_init tms) in
+  let activities_at () =
+    Array.map (fun tm -> kernels.k_activity ~f:!f ~p:!p tm) tms
+  in
+  (* Each sweep starts from fresh activities (here and in the fits below),
+     so they are needed up front only when no sweep runs. *)
   let activities =
-    ref (Array.map (fun tm -> kernels.k_activity ~f:!f ~p:!p tm) tms)
+    ref (if options.max_sweeps > 0 then [||] else activities_at ())
   in
   let prev = ref infinity in
   let sweeps = ref 0 in
   let continue_ = ref true in
   while !continue_ && !sweeps < options.max_sweeps do
     incr sweeps;
-    activities := Array.map (fun tm -> kernels.k_activity ~f:!f ~p:!p tm) tms;
+    activities := activities_at ();
     let p_raw = kernels.k_preference ~f:!f ~activities:!activities ~weights tms in
     let p', acts' = normalize_preference_and_rescale p_raw !activities in
     p := p';
@@ -347,13 +352,11 @@ let fit_stable_f_single ~kernels ~options series =
   let t_count = Array.length tms in
   let f = ref options.f_init in
   let prefs = ref (Array.make t_count (initial_preference ~f_init:options.f_init tms)) in
+  let activities_at prefs =
+    Array.mapi (fun t tm -> kernels.k_activity ~f:!f ~p:prefs.(t) tm) tms
+  in
   let activities =
-    ref
-      (Array.mapi
-         (fun t tm ->
-           let p = (!prefs).(t) in
-           kernels.k_activity ~f:!f ~p tm)
-         tms)
+    ref (if options.max_sweeps > 0 then [||] else activities_at !prefs)
   in
   let prev = ref infinity in
   let sweeps = ref 0 in
@@ -362,9 +365,7 @@ let fit_stable_f_single ~kernels ~options series =
     incr sweeps;
     (* per-bin activity and preference given the shared f *)
     let old_prefs = !prefs in
-    let acts =
-      Array.mapi (fun t tm -> kernels.k_activity ~f:!f ~p:old_prefs.(t) tm) tms
-    in
+    let acts = activities_at old_prefs in
     let new_prefs = Array.make t_count old_prefs.(0) in
     Array.iteri
       (fun t tm ->
@@ -419,13 +420,16 @@ let fit_time_varying_single ~kernels ~options series =
       let w = weights_of_norms [| norms.(t) |] in
       let f = ref options.f_init in
       let p = ref (initial_preference ~f_init:options.f_init [| tm |]) in
-      let act = ref (kernels.k_activity ~f:!f ~p:!p tm) in
+      let activity_at () = kernels.k_activity ~f:!f ~p:!p tm in
+      let act =
+        ref (if options.max_sweeps > 0 then [||] else activity_at ())
+      in
       let prev = ref infinity in
       let sweeps = ref 0 in
       let continue_ = ref true in
       while !continue_ && !sweeps < options.max_sweeps do
         incr sweeps;
-        act := kernels.k_activity ~f:!f ~p:!p tm;
+        act := activity_at ();
         let p_raw =
           kernels.k_preference ~f:!f ~activities:[| !act |] ~weights:w [| tm |]
         in

@@ -11,26 +11,19 @@ let solve_passive_ls g c passive =
   let ch = Chol.factorize_ridge ~ridge:1e-12 gp in
   Chol.solve ch cp
 
-let solve_gram ?max_iter ?(tol = 1e-10) g c =
+let passive_indices in_passive =
+  Seq.init (Array.length in_passive) Fun.id
+  |> Seq.filter (Array.get in_passive)
+  |> Array.of_seq
+
+(* The Lawson-Hanson outer and inner loops, from a feasible [x] whose
+   positive coordinates are exactly the passive ones. *)
+let lawson_hanson ~max_iter ~tol ~scale g c in_passive x =
   let n = Array.length c in
-  let max_iter = match max_iter with Some k -> k | None -> 3 * n + 10 in
-  let in_passive = Array.make n false in
-  let x = Array.make n 0. in
-  let scale =
-    let m = Vec.amax c in
-    if m > 0. then m else 1.
-  in
   let dual () =
     (* w = c - G x *)
     let gx = Mat.mulv g x in
     Array.init n (fun i -> c.(i) -. gx.(i))
-  in
-  let passive_indices () =
-    let acc = ref [] in
-    for i = n - 1 downto 0 do
-      if in_passive.(i) then acc := i :: !acc
-    done;
-    Array.of_list !acc
   in
   let iter = ref 0 in
   let continue_outer = ref true in
@@ -51,7 +44,7 @@ let solve_gram ?max_iter ?(tol = 1e-10) g c =
       let inner = ref 0 in
       while (not !feasible) && !inner < max_iter do
         incr inner;
-        let passive = passive_indices () in
+        let passive = passive_indices in_passive in
         let z = solve_passive_ls g c passive in
         let all_pos = ref true in
         Array.iteri (fun _ zi -> if zi <= 0. then all_pos := false) z;
@@ -91,31 +84,45 @@ let solve_gram ?max_iter ?(tol = 1e-10) g c =
   done;
   Vec.clamp_nonneg x
 
-(* Interior-optimum fast path. Activity recovery (Estimate_a) lands on an
-   all-positive solution almost every bin — traffic marginals keep every
-   coordinate active — in which case the unconstrained normal solve IS the
-   NNLS optimum and the Lawson–Hanson machinery above only rediscovers it
-   through ~n incremental sub-factorizations. Try one full solve first and
-   keep it iff strictly positive; fall back to the active-set solver
-   otherwise. When Lawson–Hanson would terminate with every coordinate
-   passive its final solve is the same full system, so the two paths agree
-   to solver tolerance (and exactly when the iteration order is moot). *)
-let solve_gram_full_first ?max_iter ?tol ?factor g c =
-  let z =
-    match factor with
-    | Some ch ->
-        (* Caller-supplied factor of the full system. With the full passive
-           set [solve_passive_ls] copies [g] verbatim before factorizing, so
-           a factor precomputed from the same Gram bits (with the same 1e-12
-           ridge) yields bit-identical solves — and skips the per-call copy
-           and O(n^3/3) refactorization entirely. *)
-        Chol.solve ch c
-    | None ->
-        let n = Array.length c in
-        solve_passive_ls g c (Array.init n (fun i -> i))
+(* Warm start: rather than grow the passive set from x = 0 one index at a
+   time (about n sub-factorizations), start from the full set and drop every
+   non-positive coordinate at once until the restricted solution is strictly
+   positive, then run the loops above from that feasible point. The answer,
+   [clamp_nonneg (solve_passive_ls g c P* )], depends only on the terminal
+   passive set P*, so it matches a cold start bit for bit whenever both end
+   on the same P*. [factor] replaces the full-set solve's factorization:
+   with every index passive, [solve_passive_ls] factorizes [g] verbatim. *)
+let solve_gram ?max_iter ?(tol = 1e-10) ?factor g c =
+  let n = Array.length c in
+  let max_iter = match max_iter with Some k -> k | None -> 3 * n + 10 in
+  let scale =
+    let m = Vec.amax c in
+    if m > 0. then m else 1.
   in
-  if Array.for_all (fun zi -> zi > 0.) z then z
-  else solve_gram ?max_iter ?tol g c
+  let in_passive = Array.make n true in
+  let rec shrink passive z =
+    if Array.for_all (fun zi -> zi > 0.) z then (passive, z)
+    else begin
+      Array.iteri
+        (fun k i -> if not (z.(k) > 0.) then in_passive.(i) <- false)
+        passive;
+      match passive_indices in_passive with
+      | [||] -> ([||], [||])
+      | p -> shrink p (solve_passive_ls g c p)
+    end
+  in
+  let full = Array.init n Fun.id in
+  let passive, z =
+    shrink full
+      (match factor with
+      | Some ch -> Chol.solve ch c
+      | None -> solve_passive_ls g c full)
+  in
+  if Array.length passive = n then z
+  else
+    let x = Array.make n 0. in
+    Array.iteri (fun k i -> x.(i) <- z.(k)) passive;
+    lawson_hanson ~max_iter ~tol ~scale g c in_passive x
 
 let full_factor g = Chol.factorize_ridge ~ridge:1e-12 g
 

@@ -6,39 +6,29 @@
 
 val solve : ?max_iter:int -> ?tol:float -> Mat.t -> Vec.t -> Vec.t
 (** [solve a b] returns the NNLS solution. [max_iter] bounds the number of
-    active-set changes (default [3 * cols]); [tol] is the dual-feasibility
-    tolerance relative to the problem scale (default [1e-10]). The result
-    always satisfies [x >= 0] even if the iteration limit is reached. *)
+    active-set changes after the warm start (default [3 * cols + 10]);
+    [tol] is the dual-feasibility tolerance relative to the problem scale
+    (default [1e-10]). The result always satisfies [x >= 0] even if the
+    iteration limit is reached. *)
 
-val solve_gram : ?max_iter:int -> ?tol:float -> Mat.t -> Vec.t -> Vec.t
-(** [solve_gram g c] solves the same problem given the normal-equation data
-    [g = aᵀa] and [c = aᵀb] directly. Useful when the design matrix is large
-    but its Gram matrix is cheap to accumulate, as in the per-bin activity
-    subproblem of the model fit. *)
-
-val solve_gram_full_first :
+val solve_gram :
   ?max_iter:int -> ?tol:float -> ?factor:Chol.t -> Mat.t -> Vec.t -> Vec.t
-(** {!solve_gram} with an interior-optimum fast path: one unconstrained
-    normal solve up front, kept iff strictly positive (it is then the NNLS
-    optimum). Falls back to the active-set iteration otherwise. When the
-    active-set method would terminate with every coordinate passive, its
-    final solve is this same full system, so the paths agree to solver
-    tolerance; the streaming engine's per-bin activity recovery uses this
-    entry point because traffic marginals make the interior case the
-    overwhelmingly common one (an order-of-magnitude per-bin saving).
+(** [solve_gram g c] solves the same problem given the normal-equation data
+    [g = aᵀa] and [c = aᵀb] directly, as in the model fit's per-bin
+    activity subproblem. Warm-started from the full index set, dropping all
+    non-positive coordinates at once: an interior optimum costs one solve,
+    and otherwise the answer is bit-identical to a cold (x = 0) start
+    whenever both end on the same passive set, at about two
+    sub-factorizations instead of about [n]. On a Géant day 21–24% of the
+    fit's block solves and 37–82% of the prior's bins are not interior.
 
-    [factor], when given, must be {!full_factor}[ g] for this same [g]: the
-    interior solve then reuses it instead of refactorizing per call, with
-    bit-identical results (the full-passive-set subproblem copies [g]
-    verbatim, so the factorization input is the same bits). Callers that
-    hold [g] fixed across many right-hand sides — the streaming engine's
-    per-regime activity cache — get an O(n^3/3)-per-call saving. *)
+    [factor], when given, must be {!full_factor}[ g]: it replaces the
+    full-set solve's factorization with bit-identical results, saving
+    O(n^3/3) per call for callers that hold [g] fixed. *)
 
 val full_factor : Mat.t -> Chol.t
-(** The ridged Cholesky factor of the full normal system that
-    {!solve_gram_full_first} computes internally (ridge [1e-12], matching
-    the active-set subproblem solver). Precompute once per Gram matrix and
-    pass as [?factor]. *)
+(** The ridged Cholesky factor (ridge [1e-12], as in the active-set
+    subproblems) of the full normal system, to pass as [?factor]. *)
 
 val kkt_violation : Mat.t -> Vec.t -> Vec.t -> float
 (** [kkt_violation a b x] measures how far [x] is from satisfying the NNLS

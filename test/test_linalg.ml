@@ -247,6 +247,188 @@ let nnls_property =
       Array.for_all (fun v -> v >= 0.) x
       && Ic_linalg.Nnls.kkt_violation a b x < 1e-5)
 
+(* Cold-start Lawson-Hanson, as [Nnls.solve_gram] ran before it was
+   warm-started: x = 0, the passive set grown one index at a time. Both
+   return the restricted solve on their terminal passive set, so they agree
+   bit for bit whenever they end on the same one: checked bit for bit on
+   the pipeline's systems, and to 1e-9 on random ones, where a degenerate
+   or rank-deficient system may end elsewhere. *)
+let cold_passive_ls g c passive =
+  let np = Array.length passive in
+  let gp = Mat.init np np (fun i j -> Mat.get g passive.(i) passive.(j)) in
+  let cp = Array.map (fun i -> c.(i)) passive in
+  Ic_linalg.Chol.solve (Ic_linalg.Chol.factorize_ridge ~ridge:1e-12 gp) cp
+
+let cold_nnls_gram g c =
+  let tol = 1e-10 in
+  let n = Array.length c in
+  let max_iter = (3 * n) + 10 in
+  let in_passive = Array.make n false in
+  let x = Array.make n 0. in
+  let scale =
+    let m = Vec.amax c in
+    if m > 0. then m else 1.
+  in
+  let passive_indices () =
+    List.filter (fun i -> in_passive.(i)) (List.init n Fun.id) |> Array.of_list
+  in
+  let iter = ref 0 in
+  let continue_outer = ref true in
+  while !continue_outer && !iter < max_iter do
+    incr iter;
+    let gx = Mat.mulv g x in
+    let w = Array.init n (fun i -> c.(i) -. gx.(i)) in
+    let best = ref (-1) in
+    for i = 0 to n - 1 do
+      if (not in_passive.(i)) && w.(i) > tol *. scale then
+        if !best < 0 || w.(i) > w.(!best) then best := i
+    done;
+    if !best < 0 then continue_outer := false
+    else begin
+      in_passive.(!best) <- true;
+      let feasible = ref false in
+      let inner = ref 0 in
+      while (not !feasible) && !inner < max_iter do
+        incr inner;
+        let passive = passive_indices () in
+        let z = cold_passive_ls g c passive in
+        if Array.for_all (fun zi -> zi > 0.) z then begin
+          Array.fill x 0 n 0.;
+          Array.iteri (fun k i -> x.(i) <- z.(k)) passive;
+          feasible := true
+        end
+        else begin
+          let alpha = ref infinity in
+          Array.iteri
+            (fun k i ->
+              if z.(k) <= 0. then begin
+                let denom = x.(i) -. z.(k) in
+                if denom > 0. then begin
+                  let a = x.(i) /. denom in
+                  if a < !alpha then alpha := a
+                end
+                else if x.(i) = 0. then alpha := 0.
+              end)
+            passive;
+          let alpha = if Float.is_finite !alpha then !alpha else 0. in
+          Array.iteri
+            (fun k i -> x.(i) <- x.(i) +. (alpha *. (z.(k) -. x.(i))))
+            passive;
+          Array.iteri
+            (fun k i ->
+              if z.(k) <= 0. && x.(i) <= tol *. scale then begin
+                x.(i) <- 0.;
+                in_passive.(i) <- false
+              end)
+            passive
+        end
+      done
+    end
+  done;
+  Vec.clamp_nonneg x
+
+let bits_equal x y =
+  Array.length x = Array.length y
+  && Array.for_all2
+       (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+       x y
+
+(* Every activity system of one Géant day, priored from the previous day's
+   6-sweep stable-fP fit as the streaming engine's daily refit does it.
+   About three bins in four of these optima are not interior, so the warm
+   start's active-set path is exercised, not only its first solve. *)
+let test_nnls_warm_geant_day () =
+  let week =
+    Ic_datasets.Dataset.week (Ic_datasets.Geant.generate ~weeks:1 ()) 0
+  in
+  let day k = Ic_traffic.Series.sub week ~pos:(k * 288) ~len:288 in
+  let fitted =
+    Ic_core.Fit.fit_stable_fp
+      ~options:{ Ic_core.Fit.default_options with max_sweeps = 6 }
+      (day 0)
+  in
+  let ({ f; preference; _ } : Ic_core.Params.stable_fp) = fitted.params in
+  let design = Ic_core.Estimate_a.design_matrix ~f ~preference in
+  let g = Mat.gram design in
+  let cache = Ic_core.Estimate_a.make_cache ~f ~preference in
+  let non_interior = ref 0 and mismatches = ref [] in
+  for k = 0 to 287 do
+    let tm = Ic_traffic.Series.tm (day 1) k in
+    let ingress = Ic_traffic.Marginals.ingress tm in
+    let egress = Ic_traffic.Marginals.egress tm in
+    let c = Mat.mulv_t design (Array.append ingress egress) in
+    let cold = cold_nnls_gram g c in
+    if Array.exists (fun v -> v = 0.) cold then incr non_interior;
+    if
+      not
+        (bits_equal (Ic_linalg.Nnls.solve_gram g c) cold
+        && bits_equal
+             (Ic_core.Estimate_a.activities_cached cache ~ingress ~egress)
+             cold)
+    then mismatches := k :: !mismatches
+  done;
+  Alcotest.(check (list int)) "bins where warm <> cold" [] (List.rev !mismatches);
+  Alcotest.(check bool) "a quarter of the bins or more are not interior" true
+    (!non_interior >= 72)
+
+(* The NNLS fixture of bench/main.ml (ablation/nnls-active-set). *)
+let test_nnls_warm_bench_fixture () =
+  let n = 22 in
+  let rng = Ic_prng.Rng.create 5 in
+  let a = Mat.init (2 * n) n (fun _ _ -> Ic_prng.Rng.float_range rng (-1.) 1.) in
+  let b = Array.init (2 * n) (fun _ -> Ic_prng.Rng.float_range rng (-1.) 2.) in
+  let g = Mat.gram a and c = Mat.mulv_t a b in
+  let cold = cold_nnls_gram g c in
+  Alcotest.(check bool) "active constraints" true (Array.exists (fun v -> v = 0.) cold);
+  Alcotest.(check bool) "warm = cold" true
+    (bits_equal (Ic_linalg.Nnls.solve_gram g c) cold)
+
+(* Random systems from a seed: [m x n] designs with entries in [-1, 1],
+   optionally with duplicated columns (rank deficient, so the minimizer is
+   not unique). The solver sees the Gram system of [s a] and [s b], where
+   [scale] draws [s]; [x] does not depend on [s], so the KKT conditions are
+   checked at unit scale, where [kkt_violation]'s normalization (which
+   mixes the units of [aᵀr] and [b]) means what it says. The fitted values
+   [a x] are unique even when [x] is not, so agreement with the oracle is
+   checked on them. *)
+let nnls_family ?(prepare = fun _ _ -> ()) ?(scale = fun _ -> 1.) name =
+  QCheck.Test.make ~count:200 ~name
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Ic_prng.Rng.create seed in
+      let n = 2 + Ic_prng.Rng.int rng 11 in
+      let m = n + Ic_prng.Rng.int rng (2 * n) in
+      let a = Mat.init m n (fun _ _ -> Ic_prng.Rng.float_range rng (-1.) 1.) in
+      prepare rng a;
+      let b = Array.init m (fun _ -> Ic_prng.Rng.float_range rng (-1.) 2.) in
+      let s = scale rng in
+      let sa = Mat.scale s a and sb = Vec.scale s b in
+      let g = Mat.gram sa and c = Mat.mulv_t sa sb in
+      let x = Ic_linalg.Nnls.solve_gram g c in
+      let fit = Mat.mulv sa x and fit_cold = Mat.mulv sa (cold_nnls_gram g c) in
+      Array.for_all Float.is_finite x
+      && Array.for_all (fun v -> v >= 0.) x
+      && Ic_linalg.Nnls.kkt_violation a b x < 1e-5
+      && Vec.nrm2_diff fit fit_cold <= 1e-9 *. Vec.nrm2 sb)
+
+let nnls_random = nnls_family "warm start: random systems"
+
+let nnls_rank_deficient =
+  nnls_family "warm start: duplicated columns"
+    ~prepare:(fun rng a ->
+      let m, n = Mat.dims a in
+      for _ = 1 to 1 + (n / 3) do
+        let src = Ic_prng.Rng.int rng n and dst = Ic_prng.Rng.int rng n in
+        for i = 0 to m - 1 do
+          Mat.set a i dst (Mat.get a i src)
+        done
+      done)
+
+(* Gram entries around 1e12 or 1e-12. *)
+let nnls_scaled =
+  nnls_family "warm start: Gram scaled by 1e12 or 1e-12"
+    ~scale:(fun rng -> if Ic_prng.Rng.int rng 2 = 0 then 1e6 else 1e-6)
+
 (* --- Cg --- *)
 
 let test_cg_matches_chol () =
@@ -495,6 +677,13 @@ let () =
           Alcotest.test_case "interior" `Quick test_nnls_interior;
           Alcotest.test_case "active constraints" `Quick test_nnls_active;
           QCheck_alcotest.to_alcotest nnls_property;
+          Alcotest.test_case "warm start = cold on a Geant day" `Quick
+            test_nnls_warm_geant_day;
+          Alcotest.test_case "warm start = cold on the bench fixture" `Quick
+            test_nnls_warm_bench_fixture;
+          QCheck_alcotest.to_alcotest nnls_random;
+          QCheck_alcotest.to_alcotest nnls_rank_deficient;
+          QCheck_alcotest.to_alcotest nnls_scaled;
         ] );
       ( "cg",
         [
