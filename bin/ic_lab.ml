@@ -4,10 +4,19 @@ let setup_logs verbose =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
 
-let dataset_of_string = function
-  | "geant" -> `Geant
-  | "totem" -> `Totem
-  | s -> invalid_arg ("unknown dataset " ^ s ^ " (expected geant|totem)")
+(* Unknown names exit through the CLI's error path (the message, the
+   roster, exit 1) before any dataset is generated or fit. *)
+let reject_unknown kind name roster =
+  Printf.eprintf "unknown %s %s\navailable: %s\n" kind name
+    (String.concat ", " roster);
+  exit 1
+
+let of_roster kind roster name =
+  match List.assoc_opt name roster with
+  | Some v -> v
+  | None -> reject_unknown kind name (List.map fst roster)
+
+let dataset_of_string = of_roster "dataset" [ ("geant", `Geant); ("totem", `Totem) ]
 
 let load_dataset which weeks seed =
   match which with
@@ -137,15 +146,22 @@ let run_fit which weeks seed week stride input nodes bin_minutes =
 (* Unknown estimator names exit through the CLI's own error path (listing
    the registry) rather than surfacing as an exception backtrace. *)
 let check_estimator name =
-  if not (Ic_estimation.Estimator.mem name) then begin
-    Printf.eprintf "unknown estimator %s\navailable: %s\n" name
-      (String.concat ", " (Ic_estimation.Estimator.names ()));
-    exit 1
-  end
+  if not (Ic_estimation.Estimator.mem name) then
+    reject_unknown "estimator" name (Ic_estimation.Estimator.names ())
+
+let prior_of_string =
+  of_roster "prior"
+    [
+      ("gravity", `Gravity);
+      ("measured", `Measured);
+      ("stable-fp", `Stable_fp);
+      ("stable-f", `Stable_f);
+    ]
 
 let run_estimate which weeks seed calib_week target_week prior_name estimator
     stride jobs trace =
   Option.iter check_estimator estimator;
+  let prior_kind = prior_of_string prior_name in
   let ds = load_dataset (dataset_of_string which) weeks seed in
   let take w = subsample stride (Ic_datasets.Dataset.week ds w) in
   let truth = take target_week in
@@ -171,20 +187,19 @@ let run_estimate which weeks seed calib_week target_week prior_name estimator
   | None ->
   let config = Ic_estimation.Pipeline.default_config routing in
   let prior =
-    match prior_name with
-    | "gravity" -> Ic_estimation.Prior.gravity truth
-    | "measured" ->
+    match prior_kind with
+    | `Gravity -> Ic_estimation.Prior.gravity truth
+    | `Measured ->
         let fit = Ic_core.Fit.fit_stable_fp truth in
         Ic_estimation.Prior.ic_measured fit.params
           truth.Ic_traffic.Series.binning
-    | "stable-fp" ->
+    | `Stable_fp ->
         let fit = Ic_core.Fit.fit_stable_fp (take calib_week) in
         Ic_estimation.Prior.ic_stable_fp ~f:fit.params.f
           ~preference:fit.params.preference truth
-    | "stable-f" ->
+    | `Stable_f ->
         let fit = Ic_core.Fit.fit_stable_fp (take calib_week) in
         Ic_estimation.Prior.ic_stable_f ~f:fit.params.f truth
-    | s -> invalid_arg ("unknown prior " ^ s)
   in
   (* The parallel path is qcheck-pinned bit-identical to the sequential
      one, so --jobs only changes wall-clock, never the numbers below.
@@ -654,11 +669,8 @@ let run_shootout datasets estimators folds seed stride timing_mode =
   in
   List.iter
     (fun d ->
-      if not (List.mem d Ic_experiments.Shootout.dataset_names) then begin
-        Printf.eprintf "unknown dataset %s\navailable: %s\n" d
-          (String.concat ", " Ic_experiments.Shootout.dataset_names);
-        exit 1
-      end)
+      if not (List.mem d Ic_experiments.Shootout.dataset_names) then
+        reject_unknown "dataset" d Ic_experiments.Shootout.dataset_names)
     datasets;
   let estimators =
     match estimators with

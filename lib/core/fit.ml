@@ -30,12 +30,13 @@ type 'p fitted = {
   sweeps : int;
 }
 
+let feasible x = Array.for_all (fun v -> v >= -1e-9 *. (1. +. Float.abs v)) x
+
 (* Solve the normal-equation system G x = c under x >= 0. Try a plain
    Cholesky solve first and fall back to (warm-started) Lawson-Hanson only
    when it goes negative: on a Géant day about three block solves in four
    are feasible this way. *)
 let solve_nonneg g c =
-  let feasible x = Array.for_all (fun v -> v >= -1e-9 *. (1. +. Float.abs v)) x in
   match Ic_linalg.Chol.factorize g with
   | Ok ch ->
       let x = Ic_linalg.Chol.solve ch c in
@@ -110,44 +111,71 @@ let solve_preference ~f ~activities ~weights tms =
    kernels operation for operation, so both produce bit-identical
    results — the naive kernels stay as the golden reference. *)
 
-let solve_nonneg_ws ws g c =
-  let feasible x = Array.for_all (fun v -> v >= -1e-9 *. (1. +. Float.abs v)) x in
-  let n, _ = Mat.dims g in
-  let l = Ws.mat ws "fit.chol" n n in
-  match Ic_linalg.Chol.factorize_into ~l g with
+(* [solve_nonneg] given the attempted factorization of G. *)
+let solve_factored ~fallback factored c =
+  match factored with
   | Ok ch ->
       let x = Array.copy c in
       Ic_linalg.Chol.solve_into ch x;
-      if feasible x then Vec.clamp_nonneg x
-      else Ic_linalg.Nnls.solve_gram g c
-  | Error (`Not_positive_definite _) -> Ic_linalg.Nnls.solve_gram g c
+      if feasible x then Vec.clamp_nonneg x else fallback c
+  | Error (`Not_positive_definite _) -> fallback c
 
-let solve_activity_ws ws ~f ~p tm =
+let solve_nonneg_ws ws g c =
+  let n, _ = Mat.dims g in
+  let l = Ws.mat ws "fit.chol" n n in
+  solve_factored
+    ~fallback:(Ic_linalg.Nnls.solve_gram g)
+    (Ic_linalg.Chol.factorize_into ~l g)
+    c
+
+(* The activity subproblems of one sweep share their design: its Gram
+   depends only on (f, p), never on the bin's TM. Build it once (in
+   [solve_activity]'s accumulation order, so every entry sees the same
+   additions), factor it once for the interior test and, only if some bin
+   needs the NNLS fallback, once more as [Nnls.full_factor] for [?factor].
+   Per bin only the right-hand side is accumulated, followed by two
+   triangular solves. *)
+let solve_activities_ws ws ~f ~p tms =
   let n = Array.length p in
-  let g = Ws.zero_mat ws "fit.g" n n in
-  let c = Ws.zero_vec ws "fit.c" n in
+  let g = Ws.zero_mat ws "fit.activity_g" n n in
   let gd = g.Mat.data in
-  let xd = Tm.unsafe_data tm in
   for i = 0 to n - 1 do
     let base = i * n in
     for j = 0 to n - 1 do
-      let x = Array.unsafe_get xd (base + j) in
-      if i = j then begin
-        gd.(base + i) <- gd.(base + i) +. (p.(i) *. p.(i));
-        c.(i) <- c.(i) +. (p.(i) *. x)
-      end
+      if i = j then gd.(base + i) <- gd.(base + i) +. (p.(i) *. p.(i))
       else begin
         let a = f *. p.(j) and b = (1. -. f) *. p.(i) in
         gd.(base + i) <- gd.(base + i) +. (a *. a);
         gd.((j * n) + j) <- gd.((j * n) + j) +. (b *. b);
         gd.(base + j) <- gd.(base + j) +. (a *. b);
-        gd.((j * n) + i) <- gd.((j * n) + i) +. (a *. b);
-        c.(i) <- c.(i) +. (a *. x);
-        c.(j) <- c.(j) +. (b *. x)
+        gd.((j * n) + i) <- gd.((j * n) + i) +. (a *. b)
       end
     done
   done;
-  solve_nonneg_ws ws g c
+  let factored =
+    Ic_linalg.Chol.factorize_into ~l:(Ws.mat ws "fit.activity_l" n n) g
+  in
+  let full = lazy (Ic_linalg.Nnls.full_factor g) in
+  let fallback c = Ic_linalg.Nnls.solve_gram ~factor:(Lazy.force full) g c in
+  let c = Ws.vec ws "fit.activity_c" n in
+  Array.map
+    (fun tm ->
+      Array.fill c 0 n 0.;
+      let xd = Tm.unsafe_data tm in
+      for i = 0 to n - 1 do
+        let base = i * n in
+        for j = 0 to n - 1 do
+          let x = Array.unsafe_get xd (base + j) in
+          if i = j then c.(i) <- c.(i) +. (p.(i) *. x)
+          else begin
+            let a = f *. p.(j) and b = (1. -. f) *. p.(i) in
+            c.(i) <- c.(i) +. (a *. x);
+            c.(j) <- c.(j) +. (b *. x)
+          end
+        done
+      done;
+      solve_factored ~fallback factored c)
+    tms
 
 let solve_preference_ws ws ~f ~activities ~weights tms =
   let n = Array.length activities.(0) in
@@ -184,50 +212,52 @@ let solve_preference_ws ws ~f ~activities ~weights tms =
   solve_nonneg_ws ws g c
 
 (* One fit run binds its kernel pair once; the workspace pair shares one
-   buffer pool across all bins and sweeps of that run. *)
+   buffer pool across all bins and sweeps of that run. [k_activities]
+   solves one activity subproblem per TM under a shared (f, p): a whole
+   sweep for stable-fP, a batch of one bin for the other two fits. *)
 type kernels = {
-  k_activity : f:float -> p:Vec.t -> Tm.t -> Vec.t;
+  k_activities : f:float -> p:Vec.t -> Tm.t array -> Vec.t array;
   k_preference :
     f:float -> activities:Vec.t array -> weights:Vec.t -> Tm.t array -> Vec.t;
 }
 
 let make_kernels = function
   | Naive ->
-      { k_activity = solve_activity; k_preference = solve_preference }
+      {
+        k_activities = (fun ~f ~p tms -> Array.map (solve_activity ~f ~p) tms);
+        k_preference = solve_preference;
+      }
   | Workspace ->
       let ws = Ws.create () in
       {
-        k_activity = (fun ~f ~p tm -> solve_activity_ws ws ~f ~p tm);
-        k_preference =
-          (fun ~f ~activities ~weights tms ->
-            solve_preference_ws ws ~f ~activities ~weights tms);
+        k_activities = solve_activities_ws ws;
+        k_preference = solve_preference_ws ws;
       }
 
 (* Forward-fraction subproblem: X_ij = f (A_i p_j - A_j p_i) + A_j p_i is
    linear in f; weighted scalar least squares, clamped into [0,1]. *)
 let solve_f ~bounds:(f_lo, f_hi) ~activities ~preferences ~weights tms =
   let num = ref 0. and den = ref 0. in
-  Array.iteri
-    (fun t tm ->
-      let w = weights.(t) in
-      if w > 0. then begin
-        let a_t = activities.(t) and p = preferences t in
-        let n = Array.length a_t in
-        let xd = Tm.unsafe_data tm in
-        for i = 0 to n - 1 do
-          let base = i * n in
-          for j = 0 to n - 1 do
-            if i <> j then begin
-              let slope = (a_t.(i) *. p.(j)) -. (a_t.(j) *. p.(i)) in
-              let base_flow = a_t.(j) *. p.(i) in
-              let x = Array.unsafe_get xd (base + j) in
-              num := !num +. (w *. slope *. (x -. base_flow));
-              den := !den +. (w *. slope *. slope)
-            end
-          done
+  for t = 0 to Array.length tms - 1 do
+    let w = weights.(t) in
+    if w > 0. then begin
+      let a_t = activities.(t) and p = preferences t in
+      let n = Array.length a_t in
+      let xd = Tm.unsafe_data tms.(t) in
+      for i = 0 to n - 1 do
+        let base = i * n in
+        for j = 0 to n - 1 do
+          if i <> j then begin
+            let slope = (a_t.(i) *. p.(j)) -. (a_t.(j) *. p.(i)) in
+            let base_flow = a_t.(j) *. p.(i) in
+            let x = Array.unsafe_get xd (base + j) in
+            num := !num +. (w *. slope *. (x -. base_flow));
+            den := !den +. (w *. slope *. slope)
+          end
         done
-      end)
-    tms;
+      done
+    end
+  done;
   if !den <= 0. then None
   else Some (Ic_linalg.Proj.box ~lo:f_lo ~hi:f_hi (!num /. !den))
 
@@ -236,23 +266,43 @@ let bin_norms tms = Array.map (fun tm -> Vec.nrm2 (Tm.unsafe_data tm)) tms
 let weights_of_norms norms =
   Array.map (fun nrm -> if nrm > 0. then 1. /. (nrm *. nrm) else 0.) norms
 
-let model_tm ~f ~activity ~p =
-  let n = Array.length p in
-  Tm.init n (fun i j ->
-      (f *. activity.(i) *. p.(j)) +. ((1. -. f) *. activity.(j) *. p.(i)))
-
 let rel_l2 tm model norm =
   if norm <= 0. then 0.
   else Vec.nrm2_diff (Tm.unsafe_data tm) (Tm.unsafe_data model) /. norm
 
-(* Surrogate objective: sum of squared relative errors. *)
-let surrogate ~f ~activities ~preferences norms tms =
+(* [rel_l2] of one bin against the model TM of (f, activity, p), without
+   building that TM: the residual goes once into the n^2 buffer [r], and
+   [Vec.nrm2] runs [Vec.nrm2_diff]'s two scaled passes over it in the same
+   order, so the value is bit-identical. *)
+let model_rel_l2 r ~f ~activity ~p tm norm =
+  if norm <= 0. then 0.
+  else begin
+    let n = Array.length p in
+    let xd = Tm.unsafe_data tm in
+    for i = 0 to n - 1 do
+      let base = i * n in
+      for j = 0 to n - 1 do
+        let model =
+          (f *. activity.(i) *. p.(j)) +. ((1. -. f) *. activity.(j) *. p.(i))
+        in
+        r.(base + j) <- Array.unsafe_get xd (base + j) -. model
+      done
+    done;
+    Vec.nrm2 r /. norm
+  end
+
+(* Surrogate objective: sum of squared relative errors. Each bin's RelL2
+   lands in [errs], so after the last sweep [errs] holds the fit's errors. *)
+let surrogate r errs ~f ~activities ~preferences norms tms =
   let acc = ref 0. in
-  Array.iteri
-    (fun t tm ->
-      let e = rel_l2 tm (model_tm ~f ~activity:activities.(t) ~p:(preferences t)) norms.(t) in
-      acc := !acc +. (e *. e))
-    tms;
+  for t = 0 to Array.length tms - 1 do
+    let e =
+      model_rel_l2 r ~f ~activity:activities.(t) ~p:(preferences t) tms.(t)
+        norms.(t)
+    in
+    errs.(t) <- e;
+    acc := !acc +. (e *. e)
+  done;
   !acc
 
 let normalize_preference_and_rescale p activities =
@@ -263,12 +313,6 @@ let normalize_preference_and_rescale p activities =
     let activities' = Array.map (Vec.scale s) activities in
     (p', activities')
   end
-
-let errors_of ~f ~activities ~preferences norms tms =
-  Array.mapi
-    (fun t tm ->
-      rel_l2 tm (model_tm ~f ~activity:activities.(t) ~p:(preferences t)) norms.(t))
-    tms
 
 let mean_of errs =
   if Array.length errs = 0 then 0. else Vec.sum errs /. float_of_int (Array.length errs)
@@ -301,22 +345,19 @@ let fit_stable_fp_single ~kernels ~options series =
   let tms = Array.init (Series.length series) (Series.tm series) in
   let norms = bin_norms tms in
   let weights = weights_of_norms norms in
+  let resid = Vec.create (Series.size series * Series.size series) in
+  let errs = Vec.create (Array.length tms) in
   let f = ref options.f_init in
   let p = ref (initial_preference ~f_init:options.f_init tms) in
-  let activities_at () =
-    Array.map (fun tm -> kernels.k_activity ~f:!f ~p:!p tm) tms
-  in
-  (* Each sweep starts from fresh activities (here and in the fits below),
-     so they are needed up front only when no sweep runs. *)
-  let activities =
-    ref (if options.max_sweeps > 0 then [||] else activities_at ())
-  in
+  let pref_at _ = !p in
+  (* Each sweep starts from fresh activities (here and in the fits below). *)
+  let activities = ref [||] in
   let prev = ref infinity in
   let sweeps = ref 0 in
   let continue_ = ref true in
   while !continue_ && !sweeps < options.max_sweeps do
     incr sweeps;
-    activities := activities_at ();
+    activities := kernels.k_activities ~f:!f ~p:!p tms;
     let p_raw = kernels.k_preference ~f:!f ~activities:!activities ~weights tms in
     let p', acts' = normalize_preference_and_rescale p_raw !activities in
     p := p';
@@ -324,40 +365,47 @@ let fit_stable_fp_single ~kernels ~options series =
     (if not options.fixed_f then
        match
          solve_f ~bounds:options.f_bounds ~activities:!activities
-           ~preferences:(fun _ -> !p) ~weights tms
+           ~preferences:pref_at ~weights tms
        with
        | Some f' -> f := f'
        | None -> ());
     let obj =
-      surrogate ~f:!f ~activities:!activities ~preferences:(fun _ -> !p) norms
-        tms
+      surrogate resid errs ~f:!f ~activities:!activities
+        ~preferences:pref_at norms tms
     in
     if Float.is_finite !prev && !prev -. obj <= options.tol *. Float.max !prev 1e-12 then
       continue_ := false;
     prev := obj
   done;
-  let per_bin_error =
-    errors_of ~f:!f ~activities:!activities ~preferences:(fun _ -> !p) norms
-      tms
-  in
+  (* The last sweep's surrogate left the final errors in [errs]; with no
+     sweep (here and below) they are those of the starting point. *)
+  if !sweeps = 0 then begin
+    activities := kernels.k_activities ~f:!f ~p:!p tms;
+    ignore
+      (surrogate resid errs ~f:!f ~activities:!activities
+         ~preferences:pref_at norms tms)
+  end;
   let params : Params.stable_fp =
     { f = !f; preference = !p; activity = !activities }
   in
-  { params; per_bin_error; mean_error = mean_of per_bin_error; sweeps = !sweeps }
+  { params; per_bin_error = errs; mean_error = mean_of errs; sweeps = !sweeps }
 
 let fit_stable_f_single ~kernels ~options series =
   let tms = Array.init (Series.length series) (Series.tm series) in
   let norms = bin_norms tms in
   let weights = weights_of_norms norms in
+  let resid = Vec.create (Series.size series * Series.size series) in
+  let errs = Vec.create (Array.length tms) in
   let t_count = Array.length tms in
   let f = ref options.f_init in
   let prefs = ref (Array.make t_count (initial_preference ~f_init:options.f_init tms)) in
   let activities_at prefs =
-    Array.mapi (fun t tm -> kernels.k_activity ~f:!f ~p:prefs.(t) tm) tms
+    Array.mapi
+      (fun t tm -> (kernels.k_activities ~f:!f ~p:prefs.(t) [| tm |]).(0))
+      tms
   in
-  let activities =
-    ref (if options.max_sweeps > 0 then [||] else activities_at !prefs)
-  in
+  let pref_at t = (!prefs).(t) in
+  let activities = ref [||] in
   let prev = ref infinity in
   let sweeps = ref 0 in
   let continue_ = ref true in
@@ -382,7 +430,6 @@ let fit_stable_f_single ~kernels ~options series =
       tms;
     activities := acts;
     prefs := new_prefs;
-    let pref_at t = (!prefs).(t) in
     (if not options.fixed_f then
        match
          solve_f ~bounds:options.f_bounds ~activities:!activities
@@ -391,38 +438,47 @@ let fit_stable_f_single ~kernels ~options series =
        | Some f' -> f := f'
        | None -> ());
     let obj =
-      surrogate ~f:!f ~activities:!activities ~preferences:pref_at norms tms
+      surrogate resid errs ~f:!f ~activities:!activities ~preferences:pref_at
+        norms tms
     in
     if Float.is_finite !prev && !prev -. obj <= options.tol *. Float.max !prev 1e-12 then
       continue_ := false;
     prev := obj
   done;
-  let pref_at t = (!prefs).(t) in
-  let per_bin_error =
-    errors_of ~f:!f ~activities:!activities ~preferences:pref_at norms tms
-  in
+  if !sweeps = 0 then begin
+    activities := activities_at !prefs;
+    ignore
+      (surrogate resid errs ~f:!f ~activities:!activities ~preferences:pref_at
+         norms tms)
+  end;
   let params : Params.stable_f =
     { f = !f; preference = !prefs; activity = !activities }
   in
-  { params; per_bin_error; mean_error = mean_of per_bin_error; sweeps = !sweeps }
+  { params; per_bin_error = errs; mean_error = mean_of errs; sweeps = !sweeps }
 
 let fit_time_varying_single ~kernels ~options series =
   let tms = Array.init (Series.length series) (Series.tm series) in
   let norms = bin_norms tms in
+  let resid = Vec.create (Series.size series * Series.size series) in
   let t_count = Array.length tms in
   let fs = Array.make t_count options.f_init in
   let prefs = Array.make t_count (initial_preference ~f_init:options.f_init tms) in
   let activities = Array.make t_count (Vec.create (Series.size series)) in
+  let per_bin_error = Vec.create t_count in
   let max_sweeps_total = ref 0 in
   Array.iteri
     (fun t tm ->
       (* each bin is an independent single-bin fit *)
       let w = weights_of_norms [| norms.(t) |] in
+      let err = [| 0. |] in
       let f = ref options.f_init in
       let p = ref (initial_preference ~f_init:options.f_init [| tm |]) in
-      let activity_at () = kernels.k_activity ~f:!f ~p:!p tm in
-      let act =
-        ref (if options.max_sweeps > 0 then [||] else activity_at ())
+      let pref_at _ = !p in
+      let activity_at () = (kernels.k_activities ~f:!f ~p:!p [| tm |]).(0) in
+      let act = ref [||] in
+      let surrogate_at () =
+        surrogate resid err ~f:!f ~activities:[| !act |] ~preferences:pref_at
+          [| norms.(t) |] [| tm |]
       in
       let prev = ref infinity in
       let sweeps = ref 0 in
@@ -439,33 +495,25 @@ let fit_time_varying_single ~kernels ~options series =
         (if not options.fixed_f then
            match
              solve_f ~bounds:options.f_bounds ~activities:[| !act |]
-               ~preferences:(fun _ -> !p)
-               ~weights:w [| tm |]
+               ~preferences:pref_at ~weights:w [| tm |]
            with
            | Some f' -> f := f'
            | None -> ());
-        let obj =
-          surrogate ~f:!f ~activities:[| !act |]
-            ~preferences:(fun _ -> !p)
-            [| norms.(t) |] [| tm |]
-        in
+        let obj = surrogate_at () in
         if Float.is_finite !prev && !prev -. obj <= options.tol *. Float.max !prev 1e-12 then
           continue_ := false;
         prev := obj
       done;
+      if !sweeps = 0 then begin
+        act := activity_at ();
+        ignore (surrogate_at ())
+      end;
       if !sweeps > !max_sweeps_total then max_sweeps_total := !sweeps;
       fs.(t) <- !f;
       prefs.(t) <- !p;
-      activities.(t) <- !act)
+      activities.(t) <- !act;
+      per_bin_error.(t) <- err.(0))
     tms;
-  let per_bin_error =
-    Array.mapi
-      (fun t tm ->
-        rel_l2 tm
-          (model_tm ~f:fs.(t) ~activity:activities.(t) ~p:prefs.(t))
-          norms.(t))
-      tms
-  in
   let params : Params.time_varying =
     { f = fs; preference = prefs; activity = activities }
   in
@@ -481,7 +529,7 @@ let fit_time_varying_single ~kernels ~options series =
    same TM whenever the activity profiles are (close to) rank one across
    (node, time). Block-coordinate descent can therefore converge into the
    mirrored basin. We run the descent from both f_init and 1 - f_init and
-   keep the solution with the smaller mean RelL2, breaking near-ties (0.5%)
+   keep the solution with the smaller mean RelL2, breaking near-ties (3%)
    toward f < 1/2 — the physically meaningful, response-dominated branch
    the paper observes throughout. *)
 let pick_basin f_of a b =

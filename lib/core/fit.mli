@@ -33,7 +33,12 @@ type kernel =
       (** preallocated scratch buffers shared across all bins and sweeps of
           one fit run; bit-identical results to [Naive] (the subproblem
           accumulation and solve order are the same operation for
-          operation), with no per-bin allocation. The default. *)
+          operation). The activity Gram depends only on [(f, P)], so a
+          stable-fP sweep builds and factors it once and shares that factor
+          (and, when some bin needs the NNLS fallback, its ridged factor)
+          across all bins: per bin only the right-hand side is accumulated
+          and two triangular solves run. Stable-f and time-varying fits run
+          the same kernel on a batch of one bin. The default. *)
 
 type options = {
   max_sweeps : int;  (** block-coordinate sweeps (default 40) *)

@@ -4,17 +4,38 @@
    Gram matrix is much cheaper than factoring the tall design matrix. *)
 
 let solve_passive_ls g c passive =
-  (* Solve the unconstrained LS restricted to the passive index set. *)
+  (* Solve the unconstrained LS restricted to the passive index set: gather
+     the sub-Gram by direct indexing, factor it into a second buffer with
+     [factorize_ridge_into] (bit-identical to [factorize_ridge] on the
+     gathered copy) and solve the gathered right-hand side in place. *)
   let np = Array.length passive in
-  let gp = Mat.init np np (fun i j -> Mat.get g passive.(i) passive.(j)) in
+  let gp = Mat.create np np in
+  let gd = g.Mat.data and pd = gp.Mat.data in
+  let n = g.Mat.cols in
+  for i = 0 to np - 1 do
+    let row = passive.(i) * n in
+    for j = 0 to np - 1 do
+      Array.unsafe_set pd ((i * np) + j) gd.(row + passive.(j))
+    done
+  done;
   let cp = Array.map (fun i -> c.(i)) passive in
-  let ch = Chol.factorize_ridge ~ridge:1e-12 gp in
-  Chol.solve ch cp
+  let ch = Chol.factorize_ridge_into ~ridge:1e-12 ~l:(Mat.create np np) gp in
+  Chol.solve_into ch cp;
+  cp
 
 let passive_indices in_passive =
-  Seq.init (Array.length in_passive) Fun.id
-  |> Seq.filter (Array.get in_passive)
-  |> Array.of_seq
+  let count = ref 0 in
+  Array.iter (fun b -> if b then incr count) in_passive;
+  let idx = Array.make !count 0 in
+  let k = ref 0 in
+  Array.iteri
+    (fun i b ->
+      if b then begin
+        idx.(!k) <- i;
+        incr k
+      end)
+    in_passive;
+  idx
 
 (* The Lawson-Hanson outer and inner loops, from a feasible [x] whose
    positive coordinates are exactly the passive ones. *)

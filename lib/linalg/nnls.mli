@@ -21,6 +21,14 @@ val solve_gram :
     whenever both end on the same passive set, at about two
     sub-factorizations instead of about [n]. On a Géant day 21–24% of the
     fit's block solves and 37–82% of the prior's bins are not interior.
+    Cost: the full-set solve (a pair of triangular solves when [factor]
+    is given), then one sub-solve per shrink or Lawson–Hanson step —
+    1.0–1.1 on average for a non-interior Géant prior bin. A sub-solve
+    gathers the passive sub-Gram into one fresh [np x np] matrix, factors
+    it into a second ({!Chol.factorize_ridge_into}) and solves in place:
+    O(np^3/3) flops and about [2 np^2] words. In a Géant daily refit these
+    fallbacks are about a quarter of the activity solves and about half of
+    the activity block's time.
 
     [factor], when given, must be {!full_factor}[ g]: it replaces the
     full-set solve's factorization with bit-identical results, saving

@@ -15,10 +15,16 @@
 # `perfbench/main.exe spread base... -- head...` prints each end-to-end
 # metric's base median, base quartile spread and how much worse the head
 # median is (negative: better); it exits 1 if any metric got worse than
-# its bound. The run outputs are kept in the directory printed at the
-# start.
+# its bound. A second table then gives, per end-to-end metric, the
+# head/base median ratio and how many rounds the head won against the
+# base run with the same seed — the benchmark check's nine-in-ten rule.
+# The direction comes from BENCHMARK.json's "better" (read with jq when
+# it is installed); equal values count for neither side. The exit status
+# is the spread's. The run outputs are kept in the directory printed at
+# the start.
 #
-# Only the medians are compared: there is no confidence interval yet.
+# Only medians and pair counts are compared: there is no confidence
+# interval yet.
 set -eu
 
 if [ $# -lt 1 ] || [ $# -gt 3 ]; then
@@ -72,4 +78,48 @@ while [ "$r" -le "$rounds" ]; do set -- "$@" "$out/base.$r.out"; r=$((r + 1)); d
 set -- "$@" --
 r=1
 while [ "$r" -le "$rounds" ]; do set -- "$@" "$out/head.$r.out"; r=$((r + 1)); done
-./_build/default/perfbench/main.exe spread "$@"
+status=0
+./_build/default/perfbench/main.exe spread "$@" || status=$?
+
+# "name better" for each end-to-end metric of BENCHMARK.json.
+directions() {
+  if command -v jq >/dev/null 2>&1; then
+    jq -r '.end_to_end[] | "\(.name) \(.better)"' BENCHMARK.json
+  else
+    awk '/"end_to_end"/ { on = 1 } on && /^  \]/ { on = 0 }
+      on && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
+      on && /"better"/ { gsub(/[",]/, "", $2); print name, $2 }' BENCHMARK.json
+  fi
+}
+
+# The value of metric $2 in the result line of run output $1.
+value() {
+  grep '^{"correct"' "$1" | tail -n 1 |
+    sed -n "s/.*\"$2\": {\"value\": \([^,]*\),.*/\1/p"
+}
+
+echo
+printf '%-18s %10s %9s\n' metric head/base "head won"
+directions | while read -r name better; do
+  r=1
+  while [ "$r" -le "$rounds" ]; do
+    echo "$(value "$out/base.$r.out" "$name") $(value "$out/head.$r.out" "$name")"
+    r=$((r + 1))
+  done | awk -v name="$name" -v better="$better" '
+    function median(a, n,   i, j, t) {
+      for (i = 2; i <= n; i++)
+        for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+      return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2
+    }
+    NF == 2 {
+      n++; b[n] = $1; h[n] = $2
+      if (better == "lower" ? $2 < $1 : $2 > $1) won++
+    }
+    END {
+      if (n == 0) exit
+      mb = median(b, n); mh = median(h, n)
+      ratio = mb == 0 ? "n/a" : sprintf("%.4f", mh / mb)
+      printf "%-18s %10s %6d/%d\n", name, ratio, won, n
+    }'
+done
+exit "$status"

@@ -333,27 +333,34 @@ let bits_equal x y =
        (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
        x y
 
+(* One Géant day and the previous day's 6-sweep stable-fP fit, as the
+   streaming engine's daily refit leaves them. *)
+let geant_days =
+  lazy
+    (let week =
+       Ic_datasets.Dataset.week (Ic_datasets.Geant.generate ~weeks:1 ()) 0
+     in
+     let day k = Ic_traffic.Series.sub week ~pos:(k * 288) ~len:288 in
+     let fitted =
+       Ic_core.Fit.fit_stable_fp
+         ~options:{ Ic_core.Fit.default_options with max_sweeps = 6 }
+         (day 0)
+     in
+     (fitted.params, day 1))
+
 (* Every activity system of one Géant day, priored from the previous day's
-   6-sweep stable-fP fit as the streaming engine's daily refit does it.
-   About three bins in four of these optima are not interior, so the warm
-   start's active-set path is exercised, not only its first solve. *)
+   fit. About three bins in four of these optima are not interior, so the
+   warm start's active-set path is exercised, not only its first solve. *)
 let test_nnls_warm_geant_day () =
-  let week =
-    Ic_datasets.Dataset.week (Ic_datasets.Geant.generate ~weeks:1 ()) 0
+  let ({ f; preference; _ } : Ic_core.Params.stable_fp), day =
+    Lazy.force geant_days
   in
-  let day k = Ic_traffic.Series.sub week ~pos:(k * 288) ~len:288 in
-  let fitted =
-    Ic_core.Fit.fit_stable_fp
-      ~options:{ Ic_core.Fit.default_options with max_sweeps = 6 }
-      (day 0)
-  in
-  let ({ f; preference; _ } : Ic_core.Params.stable_fp) = fitted.params in
   let design = Ic_core.Estimate_a.design_matrix ~f ~preference in
   let g = Mat.gram design in
   let cache = Ic_core.Estimate_a.make_cache ~f ~preference in
   let non_interior = ref 0 and mismatches = ref [] in
   for k = 0 to 287 do
-    let tm = Ic_traffic.Series.tm (day 1) k in
+    let tm = Ic_traffic.Series.tm day k in
     let ingress = Ic_traffic.Marginals.ingress tm in
     let egress = Ic_traffic.Marginals.egress tm in
     let c = Mat.mulv_t design (Array.append ingress egress) in
@@ -370,6 +377,63 @@ let test_nnls_warm_geant_day () =
   Alcotest.(check (list int)) "bins where warm <> cold" [] (List.rev !mismatches);
   Alcotest.(check bool) "a quarter of the bins or more are not interior" true
     (!non_interior >= 72)
+
+(* The fit's own activity systems for the same day. Row (i, j) of the
+   n^2 x n design has f p_j in column i and (1 - f) p_i in column j (p_i
+   alone when i = j). They are taken under the f >= 1/2 branch that every
+   stable-fP fit's dual start also descends (f held at 1 - f of the
+   previous day's fit, P fitted to it), where about two bins in five have
+   an unconstrained solve that goes negative and so take the NNLS fallback.
+   The fallback must match the cold oracle bit for bit, with and without
+   the shared [full_factor]. *)
+let test_nnls_warm_geant_fit_systems () =
+  let (fitted : Ic_core.Params.stable_fp), day = Lazy.force geant_days in
+  let ({ f; preference = p; _ } : Ic_core.Params.stable_fp) =
+    (Ic_core.Fit.fit_stable_fp
+       ~options:
+         {
+           Ic_core.Fit.default_options with
+           max_sweeps = 6;
+           fixed_f = true;
+           f_init = 1. -. fitted.f;
+         }
+       day)
+      .params
+  in
+  let n = Array.length p in
+  let design =
+    Mat.init (n * n) n (fun r col ->
+        let i = r / n and j = r mod n in
+        if i = j then if col = i then p.(i) else 0.
+        else if col = i then f *. p.(j)
+        else if col = j then (1. -. f) *. p.(i)
+        else 0.)
+  in
+  let g = Mat.gram design in
+  let factor = Ic_linalg.Nnls.full_factor g in
+  let interior c =
+    match Ic_linalg.Chol.factorize g with
+    | Ok ch -> Array.for_all (fun v -> v >= 0.) (Ic_linalg.Chol.solve ch c)
+    | Error _ -> false
+  in
+  let fallbacks = ref 0 and mismatches = ref [] in
+  for k = 0 to 287 do
+    let c =
+      Mat.mulv_t design (Ic_traffic.Tm.to_vector (Ic_traffic.Series.tm day k))
+    in
+    if not (interior c) then begin
+      incr fallbacks;
+      let cold = cold_nnls_gram g c in
+      if
+        not
+          (bits_equal (Ic_linalg.Nnls.solve_gram ~factor g c) cold
+          && bits_equal (Ic_linalg.Nnls.solve_gram g c) cold)
+      then mismatches := k :: !mismatches
+    end
+  done;
+  Alcotest.(check (list int)) "bins where warm <> cold" [] (List.rev !mismatches);
+  Alcotest.(check bool) "a quarter of the bins or more take the fallback" true
+    (!fallbacks >= 72)
 
 (* The NNLS fixture of bench/main.ml (ablation/nnls-active-set). *)
 let test_nnls_warm_bench_fixture () =
@@ -428,6 +492,66 @@ let nnls_rank_deficient =
 let nnls_scaled =
   nnls_family "warm start: Gram scaled by 1e12 or 1e-12"
     ~scale:(fun rng -> if Ic_prng.Rng.int rng 2 = 0 then 1e6 else 1e-6)
+
+(* [factorize_ridge_into] and [solve_into] are the allocation-free forms of
+   [factorize_ridge] and [solve] that [Nnls]'s sub-solves now use: the same
+   values combined in the same order, so factors and solutions agree bit
+   for bit, also when the ridge loop escalates. The factor buffer starts
+   out as NaN, so any read of an entry the factorization did not write
+   shows. Grams of designs with duplicated columns are singular, so a zero
+   starting ridge always escalates, and shifting them down by 1e-6 of the
+   mean diagonal makes them indefinite, which escalates several times. *)
+let chol_into_family ?(duplicate = false) ?(shift = 0.) ~ridge name =
+  QCheck.Test.make ~count:200 ~name
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let module Chol = Ic_linalg.Chol in
+      let rng = Ic_prng.Rng.create seed in
+      let n = 1 + Ic_prng.Rng.int rng 12 in
+      let m = 1 + Ic_prng.Rng.int rng (2 * n) in
+      let a = Mat.init m n (fun _ _ -> Ic_prng.Rng.float_range rng (-1.) 1.) in
+      if duplicate then
+        for _ = 1 to 1 + (n / 3) do
+          let src = Ic_prng.Rng.int rng n and dst = Ic_prng.Rng.int rng n in
+          for i = 0 to m - 1 do
+            Mat.set a i dst (Mat.get a i src)
+          done
+        done;
+      let g = Mat.gram a in
+      let mean_diag =
+        Vec.sum (Array.init n (fun i -> Mat.get g i i)) /. float_of_int n
+      in
+      let g =
+        Mat.init n n (fun i j ->
+            Mat.get g i j -. if i = j then shift *. mean_diag else 0.)
+      in
+      let b = Array.init n (fun _ -> Ic_prng.Rng.float_range rng (-1.) 1.) in
+      let factor_bits ch =
+        let lt = Mat.create n n in
+        Chol.transpose_into ch ~lt;
+        Array.init (n * n) (fun k ->
+            let i = k / n and j = k mod n in
+            if j >= i then Mat.get lt i j else 0.)
+      in
+      let ch = Chol.factorize_ridge ~ridge g in
+      let ch_into =
+        Chol.factorize_ridge_into ~ridge ~l:(Mat.init n n (fun _ _ -> nan)) g
+      in
+      let x_into = Array.copy b in
+      Chol.solve_into ch_into x_into;
+      bits_equal (factor_bits ch) (factor_bits ch_into)
+      && bits_equal (Chol.solve ch b) x_into)
+
+let chol_into_random =
+  chol_into_family ~ridge:1e-12 "ridge_into = ridge: random Grams"
+
+let chol_into_duplicated =
+  chol_into_family ~duplicate:true ~ridge:0.
+    "ridge_into = ridge: duplicated columns, zero starting ridge"
+
+let chol_into_indefinite =
+  chol_into_family ~duplicate:true ~shift:1e-6 ~ridge:1e-12
+    "ridge_into = ridge: indefinite by 1e-6 of the mean diagonal"
 
 (* --- Cg --- *)
 
@@ -659,6 +783,9 @@ let () =
           Alcotest.test_case "not PD" `Quick test_chol_not_pd;
           Alcotest.test_case "ridge" `Quick test_chol_ridge;
           Alcotest.test_case "log det" `Quick test_chol_log_det;
+          QCheck_alcotest.to_alcotest chol_into_random;
+          QCheck_alcotest.to_alcotest chol_into_duplicated;
+          QCheck_alcotest.to_alcotest chol_into_indefinite;
         ] );
       ( "qr-lsq",
         [
@@ -679,6 +806,8 @@ let () =
           QCheck_alcotest.to_alcotest nnls_property;
           Alcotest.test_case "warm start = cold on a Geant day" `Quick
             test_nnls_warm_geant_day;
+          Alcotest.test_case "warm start = cold on a Geant day's fit systems"
+            `Quick test_nnls_warm_geant_fit_systems;
           Alcotest.test_case "warm start = cold on the bench fixture" `Quick
             test_nnls_warm_bench_fixture;
           QCheck_alcotest.to_alcotest nnls_random;

@@ -1,8 +1,9 @@
 (* Golden-equivalence tests for the allocation-free batched kernels: every
    workspace/plan path must reproduce its naive reference on seeded random
-   instances. The kernels are written to match the reference operation for
-   operation, so the tolerances here are far below anything the estimation
-   tests would notice. *)
+   instances (and, for the fit kernels, on a Géant refit). The kernels are
+   written to match the reference operation for operation, so the
+   tolerances here are far below anything the estimation tests would
+   notice, and the fit kernels are compared bit for bit. *)
 
 module Vec = Ic_linalg.Vec
 module Mat = Ic_linalg.Mat
@@ -293,47 +294,118 @@ let make_fit_series seed =
           Tm.get tm i j *. exp (Ic_prng.Sampler.normal rng ~mu:0. ~sigma:0.05)))
     series
 
-let check_fitted msg (a : Ic_core.Params.stable_fp Ic_core.Fit.fitted)
-    (b : Ic_core.Params.stable_fp Ic_core.Fit.fitted) =
-  check_rel ~tol:1e-9 (msg ^ ": f") a.params.f b.params.f;
-  check_vec_rel ~tol:1e-9 (msg ^ ": preference") a.params.preference
-    b.params.preference;
+(* The workspace kernels reproduce the naive ones operation for operation,
+   so every fitted number is compared by its bits, not within a tolerance. *)
+let check_bits msg a b =
+  if not (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) then
+    Alcotest.failf "%s: %.17g vs %.17g (bits differ)" msg a b
+
+let check_vec_bits msg a b =
+  if Array.length a <> Array.length b then
+    Alcotest.failf "%s: length mismatch" msg;
+  Array.iteri (fun i x -> check_bits (Printf.sprintf "%s[%d]" msg i) x b.(i)) a
+
+let check_bins_bits msg a b =
+  if Array.length a <> Array.length b then
+    Alcotest.failf "%s: bin count mismatch" msg;
   Array.iteri
-    (fun t at ->
-      check_vec_rel ~tol:1e-9
-        (Printf.sprintf "%s: activity bin %d" msg t)
-        at b.params.activity.(t))
-    a.params.activity;
-  check_rel ~tol:1e-9 (msg ^ ": mean error") a.mean_error b.mean_error;
+    (fun t v -> check_vec_bits (Printf.sprintf "%s bin %d" msg t) v b.(t))
+    a
+
+let check_errors msg (a : _ Ic_core.Fit.fitted) (b : _ Ic_core.Fit.fitted) =
+  check_vec_bits (msg ^ ": per-bin error") a.per_bin_error b.per_bin_error;
+  check_bits (msg ^ ": mean error") a.mean_error b.mean_error;
   Alcotest.(check int) (msg ^ ": sweeps") a.sweeps b.sweeps
+
+let check_stable_fp msg (a : Ic_core.Params.stable_fp Ic_core.Fit.fitted)
+    (b : Ic_core.Params.stable_fp Ic_core.Fit.fitted) =
+  check_bits (msg ^ ": f") a.params.f b.params.f;
+  check_vec_bits (msg ^ ": preference") a.params.preference b.params.preference;
+  check_bins_bits (msg ^ ": activity") a.params.activity b.params.activity;
+  check_errors msg a b
+
+let check_stable_f msg (a : Ic_core.Params.stable_f Ic_core.Fit.fitted)
+    (b : Ic_core.Params.stable_f Ic_core.Fit.fitted) =
+  check_bits (msg ^ ": f") a.params.f b.params.f;
+  check_bins_bits (msg ^ ": preference") a.params.preference
+    b.params.preference;
+  check_bins_bits (msg ^ ": activity") a.params.activity b.params.activity;
+  check_errors msg a b
+
+let check_time_varying msg
+    (a : Ic_core.Params.time_varying Ic_core.Fit.fitted)
+    (b : Ic_core.Params.time_varying Ic_core.Fit.fitted) =
+  check_vec_bits (msg ^ ": f") a.params.f b.params.f;
+  check_bins_bits (msg ^ ": preference") a.params.preference
+    b.params.preference;
+  check_bins_bits (msg ^ ": activity") a.params.activity b.params.activity;
+  check_errors msg a b
+
+(* [max_sweeps = 0] is the one path whose errors are not those of a
+   finished sweep. *)
+let no_sweeps = { Ic_core.Fit.default_options with max_sweeps = 0 }
 
 let test_fit_kernels_agree () =
   let series = make_fit_series 21 in
   let naive = Ic_core.Fit.fit_stable_fp ~kernel:Ic_core.Fit.Naive series in
   let ws = Ic_core.Fit.fit_stable_fp ~kernel:Ic_core.Fit.Workspace series in
-  check_fitted "stable_fp" naive ws;
+  check_stable_fp "stable_fp" naive ws;
   let default = Ic_core.Fit.fit_stable_fp series in
-  check_fitted "default kernel" naive default
+  check_stable_fp "default kernel" naive default;
+  check_stable_fp "stable_fp, no sweeps"
+    (Ic_core.Fit.fit_stable_fp ~options:no_sweeps ~kernel:Ic_core.Fit.Naive
+       series)
+    (Ic_core.Fit.fit_stable_fp ~options:no_sweeps series)
 
 let test_fit_stable_f_kernels_agree () =
   let series = make_fit_series 22 in
   let naive = Ic_core.Fit.fit_stable_f ~kernel:Ic_core.Fit.Naive series in
   let ws = Ic_core.Fit.fit_stable_f ~kernel:Ic_core.Fit.Workspace series in
-  check_rel ~tol:1e-9 "stable_f: f" naive.params.f ws.params.f;
-  check_rel ~tol:1e-9 "stable_f: mean error" naive.mean_error ws.mean_error;
-  Array.iteri
-    (fun t p ->
-      check_vec_rel ~tol:1e-9
-        (Printf.sprintf "stable_f: preference bin %d" t)
-        p ws.params.preference.(t))
-    naive.params.preference
+  check_stable_f "stable_f" naive ws;
+  check_stable_f "stable_f, no sweeps"
+    (Ic_core.Fit.fit_stable_f ~options:no_sweeps ~kernel:Ic_core.Fit.Naive
+       series)
+    (Ic_core.Fit.fit_stable_f ~options:no_sweeps series)
 
 let test_fit_time_varying_kernels_agree () =
   let series = make_fit_series 23 in
   let naive = Ic_core.Fit.fit_time_varying ~kernel:Ic_core.Fit.Naive series in
   let ws = Ic_core.Fit.fit_time_varying ~kernel:Ic_core.Fit.Workspace series in
-  check_vec_rel ~tol:1e-9 "time_varying: f" naive.params.f ws.params.f;
-  check_rel ~tol:1e-9 "time_varying: mean error" naive.mean_error ws.mean_error
+  check_time_varying "time_varying" naive ws;
+  check_time_varying "time_varying, no sweeps"
+    (Ic_core.Fit.fit_time_varying ~options:no_sweeps ~kernel:Ic_core.Fit.Naive
+       series)
+    (Ic_core.Fit.fit_time_varying ~options:no_sweeps series)
+
+(* The streaming engine's daily refit on the Géant dataset: a 288-bin
+   window, 6 sweeps, f_init from a week-0 fit. Unlike the 8-node fixture,
+   whose activity optima may all be interior, about a quarter of the
+   activity solves here take the NNLS fallback. Both kernels share the error path, so
+   the errors are also checked against the RelL2 of the materialized model
+   series (which renormalizes P, hence a tolerance). *)
+let test_fit_kernels_agree_geant_refit () =
+  let ds = Ic_datasets.Geant.generate ~weeks:2 () in
+  let week0 = Ic_core.Fit.fit_stable_fp (Ic_datasets.Dataset.week ds 0) in
+  let day = Series.sub (Ic_datasets.Dataset.week ds 1) ~pos:0 ~len:288 in
+  let check msg max_sweeps =
+    let options =
+      { Ic_core.Fit.default_options with max_sweeps; f_init = week0.params.f }
+    in
+    let naive =
+      Ic_core.Fit.fit_stable_fp ~options ~kernel:Ic_core.Fit.Naive day
+    in
+    check_stable_fp msg naive (Ic_core.Fit.fit_stable_fp ~options day);
+    check_vec_rel ~tol:1e-12
+      (msg ^ ": errors are the model's RelL2")
+      (Ic_core.Fit.per_bin_error day
+         (Ic_core.Model.stable_fp naive.params day.Series.binning))
+      naive.per_bin_error;
+    naive
+  in
+  let refit = check "Geant refit" 6 in
+  Alcotest.(check bool) "some fitted activities sit on the boundary" true
+    (Array.exists (Array.exists (fun v -> v = 0.)) refit.params.activity);
+  ignore (check "Geant refit, no sweeps" 0)
 
 (* --- Estimate_a.prior_series hoist --- *)
 
@@ -402,6 +474,8 @@ let () =
             test_fit_stable_f_kernels_agree;
           Alcotest.test_case "time_varying kernels agree" `Quick
             test_fit_time_varying_kernels_agree;
+          Alcotest.test_case "stable_fp kernels agree on a Geant refit" `Quick
+            test_fit_kernels_agree_geant_refit;
           Alcotest.test_case "prior_series matches per-bin solves" `Quick
             test_prior_series_matches_per_bin;
         ] );
