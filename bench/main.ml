@@ -127,13 +127,9 @@ let spd_122 =
   Ic_linalg.Mat.add (Ic_linalg.Mat.gram b)
     (Ic_linalg.Mat.scale (float_of_int m) (Ic_linalg.Mat.identity m))
 
-let qr_tall =
-  let rng = Ic_prng.Rng.create 7 in
-  Ic_linalg.Mat.init 44 22 (fun _ _ -> Ic_prng.Rng.float_range rng (-1.) 1.)
-
 let preference_sample = fitted.params.preference
 
-(* Whole-series fixtures for the batched estimation entry points. *)
+(* Whole-series fixtures for the planned estimation entry points. *)
 let series_link_loads =
   Array.init
     (Ic_traffic.Series.length fit_series)
@@ -217,14 +213,21 @@ let ablation_tests =
            Ic_core.Fit.fit_stable_fp ~kernel:Ic_core.Fit.Naive fit_series));
   ]
 
-(* Batched vs bin-at-a-time estimation: same inputs, same results, the
-   batch path hoists the tomogravity plan and scratch buffers across bins. *)
+(* One plan carried across a series vs bin-at-a-time estimation: same
+   inputs, same results; the plan hoists the column structure and scratch
+   buffers across bins. *)
+let series_with_plan ?weights plan =
+  Array.map2
+    (fun y p ->
+      Ic_estimation.Tomogravity.estimate_with_plan ?weights plan ~link_loads:y
+        ~prior:p)
+    series_link_loads series_priors
+
 let batch_tests =
   [
     Test.make ~name:"batch/tomogravity-series-64bins"
       (Staged.stage (fun () ->
-           Ic_estimation.Tomogravity.estimate_series routing
-             ~link_loads:series_link_loads ~priors:series_priors));
+           series_with_plan (Ic_estimation.Tomogravity.make_plan routing)));
     Test.make ~name:"batch/tomogravity-64-independent"
       (Staged.stage (fun () ->
            Array.map2
@@ -232,8 +235,8 @@ let batch_tests =
                Ic_estimation.Tomogravity.estimate routing ~link_loads:y
                  ~prior:p)
              series_link_loads series_priors));
-    (* Shared frozen weights across the series: one factorization, then
-       interleaved multi-RHS triangular solves (Chol.solve_many_into). *)
+    (* Shared frozen weights across the series: every bin after the plan's
+       first hits its factor cache and runs only the triangular solves. *)
     Test.make ~name:"batch/tomogravity-series-shared-weights"
       (Staged.stage
          (let weights =
@@ -241,9 +244,7 @@ let batch_tests =
               (Ic_traffic.Tm.to_vector (Ic_traffic.Series.tm fit_series 0))
           in
           let plan = Ic_estimation.Tomogravity.make_plan routing in
-          fun () ->
-            Ic_estimation.Tomogravity.estimate_many ~weights plan
-              ~link_loads:series_link_loads ~priors:series_priors));
+          fun () -> series_with_plan ~weights plan));
   ]
 
 (* Streaming engine: per-bin serving cost (prior + tomogravity + IPF over a
@@ -307,19 +308,23 @@ let stream_tests =
    numbers then measure the coordination overhead instead.) *)
 let parallel_tests ~pool =
   let bins = 256 in
-  let src = Array.length series_link_loads in
-  let par_loads = Array.init bins (fun k -> series_link_loads.(k mod src)) in
-  let par_priors = Array.init bins (fun k -> series_priors.(k mod src)) in
+  let src = Ic_traffic.Series.length fit_series in
+  let par_truth =
+    Ic_traffic.Series.make binning
+      (Array.init bins (fun k -> Ic_traffic.Series.tm fit_series (k mod src)))
+  in
+  let par_prior = Ic_gravity.Gravity.of_series par_truth in
+  let par_config = Ic_estimation.Pipeline.default_config routing in
   let fleet = 8 in
   let engines =
     Array.init fleet (fun _ -> Ic_runtime.Engine.create stream_config)
   in
   let cursors = Array.make fleet 0 in
   [
-    Test.make ~name:"parallel/tomogravity-series-256"
+    Test.make ~name:"parallel/pipeline-series-256"
       (Staged.stage (fun () ->
-           Ic_estimation.Tomogravity.estimate_series_par ~pool routing
-             ~link_loads:par_loads ~priors:par_priors));
+           Ic_estimation.Pipeline.run_par ~pool par_config ~truth:par_truth
+             ~prior:par_prior));
     Test.make ~name:"parallel/fleet-round-8-engines"
       (Staged.stage (fun () ->
            ignore
@@ -561,49 +566,6 @@ let substrate_tests =
       (Staged.stage
          (let l = Ic_linalg.Mat.create 122 122 in
           fun () -> Ic_linalg.Chol.factorize_into ~l spd_122));
-    (* One rank-1 update + downdate pair on a held factor: the matrix
-       returns to itself, so the factor cannot drift across runs. This is
-       the per-carrier cost of the tomogravity rank-k update tier. *)
-    Test.make ~name:"linalg/chol-update-downdate-122"
-      (Staged.stage
-         (let ch =
-            match Ic_linalg.Chol.factorize spd_122 with
-            | Ok ch -> ch
-            | Error _ -> assert false
-          in
-          let rng = Ic_prng.Rng.create 12 in
-          let x =
-            Array.init 122 (fun _ -> Ic_prng.Rng.float_range rng (-1.) 1.)
-          in
-          let buf = Array.make 122 0. in
-          fun () ->
-            Array.blit x 0 buf 0 122;
-            Ic_linalg.Chol.update ch buf;
-            Array.blit x 0 buf 0 122;
-            match Ic_linalg.Chol.downdate ch buf with
-            | Ok () -> ()
-            | Error _ -> assert false));
-    Test.make ~name:"linalg/chol-solve-many-16x122"
-      (Staged.stage
-         (let ch =
-            match Ic_linalg.Chol.factorize spd_122 with
-            | Ok ch -> ch
-            | Error _ -> assert false
-          in
-          let lt = Ic_linalg.Mat.create 122 122 in
-          let () = Ic_linalg.Chol.transpose_into ch ~lt in
-          let rng = Ic_prng.Rng.create 13 in
-          let rhss =
-            Array.init 16 (fun _ ->
-                Array.init 122 (fun _ ->
-                    Ic_prng.Rng.float_range rng (-1.) 1.))
-          in
-          let bufs = Array.map Array.copy rhss in
-          fun () ->
-            Array.iteri (fun i b -> Array.blit rhss.(i) 0 b 0 122) bufs;
-            Ic_linalg.Chol.solve_many_into ~lt ch bufs));
-    Test.make ~name:"linalg/svd-44x22"
-      (Staged.stage (fun () -> Ic_linalg.Svd.decompose qr_tall));
     Test.make ~name:"linalg/eig-60"
       (Staged.stage
          (let m =
@@ -623,8 +585,6 @@ let substrate_tests =
                 Ic_prng.Rng.float_range rng 0. 1.)
           in
           fun () -> Ic_stats.Pca.fit data));
-    Test.make ~name:"linalg/qr-44x22"
-      (Staged.stage (fun () -> Ic_linalg.Qr.factorize qr_tall));
     Test.make ~name:"topology/routing-build-geant"
       (Staged.stage (fun () -> Ic_topology.Routing.build geant_graph));
     Test.make ~name:"topology/link-loads"

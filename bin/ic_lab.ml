@@ -18,6 +18,16 @@ let of_roster kind roster name =
 
 let dataset_of_string = of_roster "dataset" [ ("geant", `Geant); ("totem", `Totem) ]
 
+(* The built-in topologies, shared by [scenario --topology] and
+   [topology --name]. *)
+let topology_of_string =
+  of_roster "topology"
+    [
+      ("geant", Ic_topology.Topologies.geant_like);
+      ("totem", Ic_topology.Topologies.totem_like);
+      ("abilene", Ic_topology.Topologies.abilene_like);
+    ]
+
 let load_dataset which weeks seed =
   match which with
   | `Geant -> Ic_datasets.Geant.generate ?weeks ?seed ()
@@ -252,8 +262,21 @@ let run_whatif node boost f_new seed topology_file =
     | Some path -> begin
         match Ic_topology.Topo_io.load path with
         | Ok g -> g
-        | Error e -> invalid_arg ("bad topology file: " ^ e)
+        | Error e ->
+            Printf.eprintf "bad topology file %s: %s\n" path e;
+            exit 1
       end
+  in
+  let node =
+    Option.map
+      (fun name ->
+        match Ic_topology.Graph.index_of_name graph name with
+        | Some idx -> idx
+        | None ->
+            reject_unknown "PoP" name
+              (List.init (Ic_topology.Graph.node_count graph)
+                 (Ic_topology.Graph.name graph)))
+      node
   in
   let routing = Ic_topology.Routing.build ~with_marginals:false graph in
   let binning = Ic_timeseries.Timebin.five_min in
@@ -274,11 +297,7 @@ let run_whatif node boost f_new seed topology_file =
     let t = truth in
     let t =
       match node with
-      | Some name -> begin
-          match Ic_topology.Graph.index_of_name graph name with
-          | Some idx -> Ic_core.Synth.with_flash_crowd ~node:idx ~boost t
-          | None -> invalid_arg ("unknown PoP " ^ name)
-        end
+      | Some idx -> Ic_core.Synth.with_flash_crowd ~node:idx ~boost t
       | None -> t
     in
     match f_new with
@@ -429,6 +448,10 @@ let run_stream which weeks seed bins drop_rate corrupt_rate noise open_loop
     telemetry_mode estimator shards jobs trace verbose =
   setup_logs verbose;
   check_estimator estimator;
+  let with_timings =
+    of_roster "telemetry mode" [ ("counters", false); ("full", true) ]
+      telemetry_mode
+  in
   let tracer = make_tracer trace in
   let ds = load_dataset (dataset_of_string which) weeks seed in
   let series = ds.Ic_datasets.Dataset.series in
@@ -571,12 +594,6 @@ let run_stream which weeks seed bins drop_rate corrupt_rate noise open_loop
         (Ic_runtime.Degrade.level_name tr.to_)
         (Ic_runtime.Degrade.reason_name tr.reason))
     transitions;
-  let with_timings =
-    match telemetry_mode with
-    | "counters" -> false
-    | "full" -> true
-    | s -> invalid_arg ("unknown telemetry mode " ^ s ^ " (counters|full)")
-  in
   print_string
     (Ic_runtime.Telemetry.dump ~with_timings
        (Ic_runtime.Engine.telemetry engine));
@@ -681,10 +698,7 @@ let run_shootout datasets estimators folds seed stride timing_mode =
         Some names
   in
   let timing =
-    match timing_mode with
-    | "on" -> true
-    | "off" -> false
-    | s -> invalid_arg ("unknown timing mode " ^ s ^ " (on|off)")
+    of_roster "timing mode" [ ("on", true); ("off", false) ] timing_mode
   in
   let rows =
     Ic_experiments.Shootout.run ?estimators ~folds ~seed ~stride ~timing
@@ -693,13 +707,6 @@ let run_shootout datasets estimators folds seed stride timing_mode =
   Ic_experiments.Shootout.render ~folds ~seed ~stride ~timing rows
 
 (* --- scenario ------------------------------------------------------------ *)
-
-let scenario_graph = function
-  | "geant" -> Ic_topology.Topologies.geant_like ()
-  | "totem" -> Ic_topology.Topologies.totem_like ()
-  | "abilene" -> Ic_topology.Topologies.abilene_like ()
-  | s ->
-      invalid_arg ("unknown topology " ^ s ^ " (expected geant|totem|abilene)")
 
 let split_once c s =
   match String.index_opt s c with
@@ -821,14 +828,11 @@ let run_scenario topology family bins seed noise drop_rate corrupt_rate fails
     recover_after kill_after resume checkpoint_path robust_scale self_heal
     breaker verbose =
   setup_logs verbose;
-  let graph = scenario_graph topology in
+  let graph = topology_of_string topology () in
   let fam =
-    match Ic_core.Tm_family.of_name family with
-    | Some f -> f
-    | None ->
-        invalid_arg
-          ("unknown TM family " ^ family
-         ^ " (expected ic|bimodal|uniform-normal|nucci)")
+    of_roster "TM family"
+      (List.map (fun f -> (Ic_core.Tm_family.name f, f)) Ic_core.Tm_family.all)
+      family
   in
   let seed_v = Option.value ~default:7 seed in
   let spec =
@@ -1186,10 +1190,7 @@ let run_loadgen socket host port queries rate connections seed json paced
     }
   in
   let timings =
-    match report_mode with
-    | "counts" -> false
-    | "full" -> true
-    | s -> invalid_arg ("unknown report mode " ^ s ^ " (counts|full)")
+    of_roster "report mode" [ ("counts", false); ("full", true) ] report_mode
   in
   let outcome = Ic_serve.Loadgen.run config in
   print_string (Ic_serve.Loadgen.report ~timings outcome);
@@ -1198,13 +1199,7 @@ let run_loadgen socket host port queries rate connections seed json paced
 (* --- topology ------------------------------------------------------------ *)
 
 let run_topology name out =
-  let graph =
-    match name with
-    | "geant" -> Ic_topology.Topologies.geant_like ()
-    | "totem" -> Ic_topology.Topologies.totem_like ()
-    | "abilene" -> Ic_topology.Topologies.abilene_like ()
-    | s -> invalid_arg ("unknown topology " ^ s)
-  in
+  let graph = topology_of_string name () in
   (match out with
   | Some path ->
       Ic_topology.Topo_io.save path graph;

@@ -50,8 +50,6 @@ let diag v =
   let n = Array.length v in
   init n n (fun i j -> if i = j then v.(i) else 0.)
 
-let copy m = { m with data = Array.copy m.data }
-
 let dims m = (m.rows, m.cols)
 
 let row m i = Array.sub m.data (i * m.cols) m.cols

@@ -22,8 +22,6 @@ val identity : int -> t
 val diag : Vec.t -> t
 (** Square matrix with the given diagonal. *)
 
-val copy : t -> t
-
 val dims : t -> int * int
 
 val get : t -> int -> int -> float

@@ -94,7 +94,6 @@ type t = {
   mutable frozen_weights : (Degrade.level * Vec.t) option;
   mutable prior_cache : Ic_core.Estimate_a.cache option;
   mutable fp_hits : int;
-  mutable fp_updates : int;
   mutable fp_refactorizes : int;
   (* Arena buffers reused across bins: [step] fully overwrites each before
      reading and no callee retains them. *)
@@ -187,7 +186,6 @@ let create ?telemetry ?(tracer = Trace.noop) config =
     frozen_weights = None;
     prior_cache = None;
     fp_hits = 0;
-    fp_updates = 0;
     fp_refactorizes = 0;
     effective_buf = Array.make m 0.;
     ingress_buf = Array.make n 0.;
@@ -384,75 +382,68 @@ let build_prior t level ~ingress ~egress =
       end
     | Gravity -> Ic_gravity.Gravity.from_marginals ~ingress ~egress
 
-(* The native ic bin: build the ladder-rung prior from the marginals, refine
-   against the link constraints with regime-frozen weights, project with
-   IPF. Returns the estimate and the tomogravity clamp count. *)
-let native_bin t level ~effective ~ingress ~egress =
-  let prior =
-    Trace.with_span t.tracer "engine.prior"
-      ~attrs:[ ("level", Degrade.level_name level) ]
-      (fun () ->
-        Telemetry.time t.tel "prior" (fun () ->
-            build_prior t level ~ingress ~egress))
-  in
-  (* Weight freezing: the link constraints hold at the tomogravity solution
-     for any psd weight matrix — the weights only pick the least-norm
-     geometry of the correction — so between regime changes (refits and
-     ladder transitions) the weights are frozen at the first bin's prior.
-     Consecutive bins then hit the plan's factor cache bitwise and skip the
-     Gram assembly and Cholesky factorization entirely. *)
-  let weights =
-    if not t.config.fast_path then None
-    else begin
-      (match t.frozen_weights with
-      | Some (lvl, _) when lvl = level -> ()
-      | _ ->
-          t.frozen_weights <- None;
-          Tomogravity.plan_invalidate t.plan;
-          let data = Tm.unsafe_data prior in
-          let n_od = Array.length data in
-          let w = Array.make n_od 0. in
-          let sum = ref 0. in
-          for s = 0 to n_od - 1 do
-            let x = data.(s) in
-            let x = if x < 0. then 0. else x in
-            w.(s) <- x;
-            sum := !sum +. x
-          done;
-          (* A degenerate (all-zero) bin must not pin zero weights for the
-             rest of the regime; leave unfrozen and retry next bin. *)
-          if !sum > 0. then t.frozen_weights <- Some (level, w));
-      Option.map snd t.frozen_weights
-    end
-  in
-  (* Refine against the link constraints, then project onto the measured
-     marginals. *)
-  let refined =
-    Trace.with_span t.tracer "engine.estimate" (fun () ->
-        Telemetry.time t.tel "estimate" (fun () ->
-            Tomogravity.estimate_with_plan ?weights t.plan
-              ~link_loads:effective ~prior))
-  in
-  let clamped = Tomogravity.plan_last_clamp_count t.plan in
+(* Weight freezing: the link constraints hold at the tomogravity solution
+   for any psd weight matrix — the weights only pick the least-norm geometry
+   of the correction — so between regime changes (refits and ladder
+   transitions) the weights are frozen at the first bin's prior. Consecutive
+   bins then hit the plan's factor cache bitwise and skip the Gram assembly
+   and Cholesky factorization entirely. [None] (fast path off) weights each
+   bin by its own prior. *)
+let regime_weights t level ~prior =
+  if not t.config.fast_path then None
+  else begin
+    (match t.frozen_weights with
+    | Some (lvl, _) when lvl = level -> ()
+    | _ ->
+        t.frozen_weights <- None;
+        Tomogravity.plan_invalidate t.plan;
+        let data = Tm.unsafe_data prior in
+        let n_od = Array.length data in
+        let w = Array.make n_od 0. in
+        let sum = ref 0. in
+        for s = 0 to n_od - 1 do
+          let x = data.(s) in
+          let x = if x < 0. then 0. else x in
+          w.(s) <- x;
+          sum := !sum +. x
+        done;
+        (* A degenerate (all-zero) bin must not pin zero weights for the
+           rest of the regime; leave unfrozen and retry next bin. *)
+        if !sum > 0. then t.frozen_weights <- Some (level, w));
+    Option.map snd t.frozen_weights
+  end
+
+(* The bin's refine bookkeeping, whichever path drove the plan: the clamp
+   audit, and the factor-cache counters as deltas of the plan's cumulative
+   stats. *)
+let record_refine t ~clamped =
   Telemetry.add t.tel "estimate.clamped_entries" clamped;
   let fp = Tomogravity.plan_fastpath_stats t.plan in
   Telemetry.add t.tel "fastpath.hit" (fp.Tomogravity.hits - t.fp_hits);
-  Telemetry.add t.tel "fastpath.update" (fp.Tomogravity.updates - t.fp_updates);
   Telemetry.add t.tel "fastpath.refactorize"
     (fp.Tomogravity.refactorizes - t.fp_refactorizes);
   t.fp_hits <- fp.Tomogravity.hits;
-  t.fp_updates <- fp.Tomogravity.updates;
-  t.fp_refactorizes <- fp.Tomogravity.refactorizes;
+  t.fp_refactorizes <- fp.Tomogravity.refactorizes
+
+(* The paper's three steps for one bin — prior, least-squares refinement
+   against the link loads, projection onto the measured marginals — each in
+   its own span and timer. The native ic path and a registry plugin differ
+   only in the stage functions they supply. Returns the estimate and the
+   refinement's clamp count. *)
+let run_stages t level ~prior ~refine ~project =
+  let prior =
+    Trace.with_span t.tracer "engine.prior"
+      ~attrs:[ ("level", Degrade.level_name level) ]
+      (fun () -> Telemetry.time t.tel "prior" prior)
+  in
+  let refined, clamped =
+    Trace.with_span t.tracer "engine.estimate" (fun () ->
+        Telemetry.time t.tel "estimate" (fun () -> refine prior))
+  in
+  record_refine t ~clamped;
   let estimate =
-    if Vec.sum ingress <= 0. then refined
-    else
-      Trace.with_span t.tracer "engine.ipf" (fun () ->
-          Telemetry.time t.tel "ipf" (fun () ->
-              let outcome =
-                Ipf.fit refined ~row_targets:ingress ~col_targets:egress
-              in
-              Telemetry.add t.tel "ipf.iterations" outcome.Ipf.iterations;
-              outcome.Ipf.tm))
+    Trace.with_span t.tracer "engine.ipf" (fun () ->
+        Telemetry.time t.tel "ipf" (fun () -> project refined))
   in
   (estimate, clamped)
 
@@ -521,56 +512,55 @@ let step t ~loads ~missing =
   else if Degrade.rank level < Degrade.rank before then
     Telemetry.incr t.tel "degrade.up";
   Telemetry.incr t.tel ("bins.at." ^ Degrade.level_name level);
-  (* Prior from this bin's marginal counts, at the chosen rung. *)
+  (* The bin's marginal views, read by every stage. *)
   let ingress = t.ingress_buf and egress = t.egress_buf in
   for i = 0 to t.n - 1 do
     ingress.(i) <- effective.(t.ingress_rows.(i));
     egress.(i) <- effective.(t.egress_rows.(i))
   done;
+  let ctx =
+    {
+      Estimator.routing = t.routing;
+      plan = t.plan;
+      link_loads = effective;
+      ingress;
+      egress;
+      bin = t.bin;
+      rung = Degrade.rank level;
+    }
+  in
   let estimate, clamped =
     match t.plugin with
+    | None ->
+        (* The native ic path: the ladder-rung prior, a refine with
+           regime-frozen weights, and IPF with its iteration count. *)
+        run_stages t level
+          ~prior:(fun () -> build_prior t level ~ingress ~egress)
+          ~refine:(fun prior ->
+            Estimator.tomogravity_refine
+              ?weights:(regime_weights t level ~prior)
+              ctx ~prior)
+          ~project:(fun refined ->
+            if Vec.sum ingress <= 0. then refined
+            else begin
+              let outcome =
+                Ipf.fit refined ~row_targets:ingress ~col_targets:egress
+              in
+              Telemetry.add t.tel "ipf.iterations" outcome.Ipf.iterations;
+              outcome.Ipf.tm
+            end)
     | Some ((module E), state) ->
-        (* Plugged-in estimator: the three stages run against the same
-           imputed loads and ladder verdict as the native path; the frozen
-           weights and stable-fP machinery stay idle (the estimator owns
-           its weighting and calibration). [observe] is the estimator's
-           sequential learning hook — its mutations live in the
-           checkpointed state, so kill/resume stays bit-identical. *)
-        let ctx =
-          {
-            Estimator.routing = t.routing;
-            plan = t.plan;
-            link_loads = effective;
-            ingress;
-            egress;
-            bin = t.bin;
-            rung = Degrade.rank level;
-          }
-        in
-        let prior =
-          Trace.with_span t.tracer "engine.prior"
-            ~attrs:[ ("level", Degrade.level_name level) ]
-            (fun () ->
-              Telemetry.time t.tel "prior" (fun () -> E.prior state ctx))
-        in
-        let refined, clamped =
-          Trace.with_span t.tracer "engine.estimate" (fun () ->
-              Telemetry.time t.tel "estimate" (fun () ->
-                  E.refine state ctx ~prior))
-        in
-        Telemetry.add t.tel "estimate.clamped_entries" clamped;
-        let fp = Tomogravity.plan_fastpath_stats t.plan in
-        Telemetry.add t.tel "fastpath.hit" (fp.Tomogravity.hits - t.fp_hits);
-        Telemetry.add t.tel "fastpath.update"
-          (fp.Tomogravity.updates - t.fp_updates);
-        Telemetry.add t.tel "fastpath.refactorize"
-          (fp.Tomogravity.refactorizes - t.fp_refactorizes);
-        t.fp_hits <- fp.Tomogravity.hits;
-        t.fp_updates <- fp.Tomogravity.updates;
-        t.fp_refactorizes <- fp.Tomogravity.refactorizes;
-        let estimate =
-          Trace.with_span t.tracer "engine.ipf" (fun () ->
-              Telemetry.time t.tel "ipf" (fun () -> E.project state ctx refined))
+        (* Plugged-in estimator: the same stages against the same imputed
+           loads and ladder verdict; the frozen weights and stable-fP
+           machinery stay idle (the estimator owns its weighting and
+           calibration). [observe] is the estimator's sequential learning
+           hook — its mutations live in the checkpointed state, so
+           kill/resume stays bit-identical. *)
+        let estimate, clamped =
+          run_stages t level
+            ~prior:(fun () -> E.prior state ctx)
+            ~refine:(fun prior -> E.refine state ctx ~prior)
+            ~project:(fun refined -> E.project state ctx refined)
         in
         Telemetry.incr t.tel ("estimator." ^ E.name ^ ".bins");
         Telemetry.add t.tel
@@ -578,7 +568,6 @@ let step t ~loads ~missing =
           clamped;
         E.observe state ctx ~estimate;
         (estimate, clamped)
-    | None -> native_bin t level ~effective ~ingress ~egress
   in
   (* Anomaly gate: decide whether this bin joins the refit window or is
      quarantined out of it, before the estimate overwrites the slot (the
@@ -678,7 +667,6 @@ let set_routing ?(degrade = true) t r =
   (* The fresh plan starts its fast-path stats at zero; realign the engine's
      per-plan deltas so the next bin's counters stay non-negative. *)
   t.fp_hits <- 0;
-  t.fp_updates <- 0;
   t.fp_refactorizes <- 0;
   if degrade then begin
     t.topo_pending <- true;

@@ -17,14 +17,17 @@
 # median is (negative: better); it exits 1 if any metric got worse than
 # its bound. A second table then gives, per end-to-end metric, the
 # head/base median ratio and how many rounds the head won against the
-# base run with the same seed — the benchmark check's nine-in-ten rule.
-# The direction comes from BENCHMARK.json's "better" (read with jq when
-# it is installed); equal values count for neither side. The exit status
-# is the spread's. The run outputs are kept in the directory printed at
-# the start.
-#
-# Only medians and pair counts are compared: there is no confidence
-# interval yet.
+# base run with the same seed — the benchmark check's nine-in-ten rule —
+# and a 95% percentile-bootstrap interval on the ratio: the rounds are
+# resampled as (base, head) pairs with replacement 2,000 times (awk's
+# rand() under a fixed seed, so a rerun prints the same interval), the
+# ratio of medians is taken for each resample, and its 2.5th and 97.5th
+# percentiles are printed. An interval that excludes 1 is a change the
+# rounds resolve; with 3 rounds the interval is coarse. The direction
+# comes from BENCHMARK.json's "better" (read with jq when it is
+# installed); equal values count for neither side. The exit status is the
+# spread's. The run outputs are kept in the directory printed at the
+# start.
 set -eu
 
 if [ $# -lt 1 ] || [ $# -gt 3 ]; then
@@ -99,16 +102,19 @@ value() {
 }
 
 echo
-printf '%-18s %10s %9s\n' metric head/base "head won"
+printf '%-18s %10s %21s %9s\n' metric head/base "95% bootstrap CI" "head won"
 directions | while read -r name better; do
   r=1
   while [ "$r" -le "$rounds" ]; do
     echo "$(value "$out/base.$r.out" "$name") $(value "$out/head.$r.out" "$name")"
     r=$((r + 1))
   done | awk -v name="$name" -v better="$better" '
-    function median(a, n,   i, j, t) {
+    function sort(a, n,   i, j, t) {
       for (i = 2; i <= n; i++)
         for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+    }
+    function median(a, n) {
+      sort(a, n)
       return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2
     }
     NF == 2 {
@@ -117,9 +123,24 @@ directions | while read -r name better; do
     }
     END {
       if (n == 0) exit
-      mb = median(b, n); mh = median(h, n)
+      for (i = 1; i <= n; i++) { sb[i] = b[i]; sh[i] = h[i] }
+      mb = median(sb, n); mh = median(sh, n)
       ratio = mb == 0 ? "n/a" : sprintf("%.4f", mh / mb)
-      printf "%-18s %10s %6d/%d\n", name, ratio, won, n
+      srand(20261018)
+      resamples = 2000; kept = 0
+      for (s = 1; s <= resamples; s++) {
+        for (i = 1; i <= n; i++) { k = int(rand() * n) + 1; sb[i] = b[k]; sh[i] = h[k] }
+        rb = median(sb, n)
+        if (rb != 0) r[++kept] = median(sh, n) / rb
+      }
+      ci = "n/a"
+      if (kept > 0) {
+        sort(r, kept)
+        lo = int(0.025 * kept); if (lo < 1) lo = 1
+        hi = int(0.975 * kept + 0.999999); if (hi > kept) hi = kept
+        ci = sprintf("[%.4f, %.4f]", r[lo], r[hi])
+      }
+      printf "%-18s %10s %21s %6d/%d\n", name, ratio, ci, won, n
     }'
 done
 exit "$status"

@@ -47,7 +47,7 @@ let synth_on graph ~bins ~seed =
 
 let tm_bits tm = Array.map Int64.bits_of_float (Tm.to_vector tm)
 
-(* One random instance: graph, routing, per-bin loads and priors. *)
+(* One random instance: routing, truth, gravity prior and per-bin loads. *)
 let instance ~nodes ~chords ~bins ~seed =
   let graph = random_graph ~nodes ~chords ~seed in
   let routing = Routing.build graph in
@@ -57,8 +57,7 @@ let instance ~nodes ~chords ~bins ~seed =
     Array.init bins (fun k ->
         Routing.link_loads routing (Tm.to_vector (Ic_traffic.Series.tm truth k)))
   in
-  let priors = Array.init bins (fun k -> Ic_traffic.Series.tm prior k) in
-  (routing, truth, prior, link_loads, priors)
+  (routing, truth, prior, link_loads)
 
 (* --- properties ---------------------------------------------------------- *)
 
@@ -69,25 +68,9 @@ let gen_topology_case =
       (pair (int_range 1 12) (int_range 0 10_000))
       (oneofl [ 1; 2; 4 ]))
 
-let test_series_par_differential () =
-  let prop (nodes, chords, (bins, seed), jobs) =
-    let routing, _, _, link_loads, priors = instance ~nodes ~chords ~bins ~seed in
-    let seq = Tomogravity.estimate_series routing ~link_loads ~priors in
-    let par =
-      Pool.with_pool ~jobs (fun pool ->
-          Tomogravity.estimate_series_par ~pool routing ~link_loads ~priors)
-    in
-    Array.length seq = Array.length par
-    && Array.for_all2 (fun a b -> tm_bits a = tm_bits b) seq par
-  in
-  QCheck2.Test.check_exn
-    (QCheck2.Test.make ~count:12
-       ~name:"estimate_series_par = estimate_series on random topologies"
-       gen_topology_case prop)
-
 let test_pipeline_par_differential () =
   let prop (nodes, chords, (bins, seed), jobs) =
-    let routing, truth, prior, _, _ = instance ~nodes ~chords ~bins ~seed in
+    let routing, truth, prior, _ = instance ~nodes ~chords ~bins ~seed in
     let config = Pipeline.default_config routing in
     let seq = Pipeline.run config ~truth ~prior in
     let par =
@@ -109,13 +92,17 @@ let test_pipeline_par_differential () =
 let test_jobs_cross_agreement () =
   (* All pool sizes agree with each other, not just with the sequential
      path, on one awkward topology (odd node count, several chords). *)
-  let routing, _, _, link_loads, priors =
+  let routing, truth, prior, _ =
     instance ~nodes:7 ~chords:4 ~bins:9 ~seed:4242
   in
+  let config = Pipeline.default_config routing in
   let run jobs =
-    Pool.with_pool ~jobs (fun pool ->
-        Tomogravity.estimate_series_par ~pool routing ~link_loads ~priors)
-    |> Array.map tm_bits
+    let r =
+      Pool.with_pool ~jobs (fun pool ->
+          Pipeline.run_par ~pool config ~truth ~prior)
+    in
+    Array.init (Ic_traffic.Series.length truth) (fun k ->
+        tm_bits (Ic_traffic.Series.tm r.Pipeline.estimate k))
   in
   let j1 = run 1 in
   List.iter
@@ -154,9 +141,7 @@ let registry_gen =
 
 let test_registry_plan_reuse_differential () =
   let prop (nodes, chords, (bins, seed), _) =
-    let routing, truth, _, link_loads, _ =
-      instance ~nodes ~chords ~bins ~seed
-    in
+    let routing, truth, _, link_loads = instance ~nodes ~chords ~bins ~seed in
     List.for_all
       (fun name ->
         let (module E : Estimator.S) = Estimator.find_exn name in
@@ -191,7 +176,7 @@ let test_registry_plan_reuse_differential () =
 
 let test_registry_jobs_differential () =
   let prop (nodes, chords, (bins, seed), jobs) =
-    let routing, truth, _, _, _ = instance ~nodes ~chords ~bins ~seed in
+    let routing, truth, _, _ = instance ~nodes ~chords ~bins ~seed in
     let bits (r : Pipeline.result) =
       Array.init bins (fun k ->
           tm_bits (Ic_traffic.Series.tm r.Pipeline.estimate k))
@@ -217,6 +202,37 @@ let test_registry_jobs_differential () =
     (QCheck2.Test.make ~count:6
        ~name:"every registered estimator: run_estimator par = sequential"
        registry_gen prop)
+
+(* Scale equivariance: multiplying every load by a power of two is exact in
+   floating point, and every stage is homogeneous of degree one (the
+   Cholesky ridge is relative to the Gram's mean diagonal), so each
+   family's estimate must scale bit for bit — no absolute constant may leak
+   into the pipeline. Exponents far outside any traffic range included. *)
+let test_registry_scale_equivariance () =
+  let routing, truth, _, _ = instance ~nodes:7 ~chords:4 ~bins:9 ~seed:4242 in
+  let train = synth_on routing.Routing.graph ~bins:12 ~seed:4243 in
+  let bins = Ic_traffic.Series.length truth in
+  let scaled c series = Ic_traffic.Series.map (Tm.scale c) series in
+  List.iter
+    (fun name ->
+      let (module E : Estimator.S) = Estimator.find_exn name in
+      let run ~train ~truth =
+        (Pipeline.run_estimator (module E) ~routing ~train ~truth ())
+          .Pipeline.estimate
+      in
+      let base = run ~train ~truth in
+      List.iter
+        (fun k ->
+          let c = Float.ldexp 1. k in
+          let got = run ~train:(scaled c train) ~truth:(scaled c truth) in
+          for b = 0 to bins - 1 do
+            Alcotest.(check (array int64))
+              (Printf.sprintf "%s, scale 2^%d, bin %d" name k b)
+              (tm_bits (Tm.scale c (Ic_traffic.Series.tm base b)))
+              (tm_bits (Ic_traffic.Series.tm got b))
+          done)
+        [ -30; 10; 40 ])
+    (Estimator.names ())
 
 let test_registry_roster () =
   (* The built-in families are present, sorted, and an unknown lookup
@@ -260,8 +276,6 @@ let () =
     [
       ( "bit-identity",
         [
-          Alcotest.test_case "estimate_series_par (random topologies)" `Slow
-            test_series_par_differential;
           Alcotest.test_case "Pipeline.run_par (random topologies)" `Slow
             test_pipeline_par_differential;
           Alcotest.test_case "pool sizes agree pairwise" `Quick
@@ -273,6 +287,8 @@ let () =
             test_registry_plan_reuse_differential;
           Alcotest.test_case "parallel = sequential (whole registry)" `Slow
             test_registry_jobs_differential;
+          Alcotest.test_case "scale equivariance 2^k (whole registry)" `Quick
+            test_registry_scale_equivariance;
           Alcotest.test_case "roster and unknown-name error" `Quick
             test_registry_roster;
         ] );

@@ -324,6 +324,62 @@ let resume_matches_uninterrupted (seed, n1, n2, drop) =
          ignore (Replay.run ~max_bins:(n1 + n2) e f);
          e)
 
+(* --- legacy checkpoints ----------------------------------------------------
+
+   legacy_native.ckpt and legacy_integer_tomography.ckpt were written by the
+   engine while the tomogravity factor cache still had a rank-k update
+   tier: 10 bins of [legacy_config] over [mk_feed ~seed:5], then
+   [Checkpoint.save]. Like every checkpoint of that engine they carry a
+   [fastpath.update 0] counter. They must still restore, the resumed run
+   must be bit-identical to one that never stopped, and today's engine
+   must write the same bytes at the same point, less that one counter. *)
+
+let legacy_config estimator =
+  { (config ~refit_every:4 ~window:4 ()) with Engine.estimator }
+
+let drop_legacy_counter text =
+  let lines = String.split_on_char '\n' text in
+  let lines = List.filter (fun l -> l <> "c fastpath.update 0") lines in
+  List.map
+    (fun l ->
+      match String.split_on_char ' ' l with
+      | [ "counters"; n ] -> Printf.sprintf "counters %d" (int_of_string n - 1)
+      | _ -> l)
+    lines
+  |> String.concat "\n"
+
+let test_legacy_checkpoint estimator path () =
+  let cfg = legacy_config estimator in
+  let n1 = 10 and n2 = 14 in
+  let restored =
+    match Checkpoint.load ~path ~config:cfg with
+    | Ok e -> e
+    | Error m -> Alcotest.fail m
+  in
+  Alcotest.(check bool)
+    "legacy counter restored" true
+    (List.mem_assoc "fastpath.update"
+       (Telemetry.counters (Engine.telemetry restored)));
+  Alcotest.(check int) "resumes at the kill point" n1 (Engine.bins_seen restored);
+  let feed = mk_feed ~seed:5 () in
+  Feed.skip feed n1;
+  let tail = Replay.run ~max_bins:n2 restored feed in
+  let full_engine, full = run_bins ~cfg ~seed:5 (n1 + n2) in
+  Alcotest.(check bool)
+    "resumed estimates bit-identical" true
+    (Replay.bit_identical
+       (Array.sub full.Replay.estimates n1 n2)
+       tail.Replay.estimates);
+  Alcotest.(check bool)
+    "same transitions" true
+    (Engine.transitions restored = Engine.transitions full_engine);
+  let head_engine, _ = run_bins ~cfg ~seed:5 n1 in
+  let legacy = In_channel.with_open_bin path In_channel.input_all in
+  Alcotest.(check string)
+    "same bytes less the counter"
+    (drop_legacy_counter legacy)
+    (Checkpoint.encode (Engine.snapshot head_engine))
+
 let checkpoint_property =
   QCheck.Test.make ~count:8 ~name:"resume is bit-identical to no kill"
     QCheck.(
@@ -372,5 +428,10 @@ let () =
           Alcotest.test_case "config mismatch" `Quick
             test_checkpoint_config_mismatch;
           QCheck_alcotest.to_alcotest checkpoint_property;
+          Alcotest.test_case "legacy native checkpoint restores" `Quick
+            (test_legacy_checkpoint "ic" "legacy_native.ckpt");
+          Alcotest.test_case "legacy plugin checkpoint restores" `Quick
+            (test_legacy_checkpoint "integer-tomography"
+               "legacy_integer_tomography.ckpt");
         ] );
     ]
