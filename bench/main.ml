@@ -483,8 +483,9 @@ let scenario_tests =
 (* Resilience: the self-healing runtime's steady-state overheads — the
    anomaly gate's per-bin quarantine decision (the fast-path acceptance is
    that gating stays within a few percent of the plain serving loop), the
-   circuit-breaker feed delivery, the per-bin engine snapshot a supervised
-   shard takes, and the robust detection scale's rolling-median pass. *)
+   circuit-breaker feed delivery, one engine snapshot (what every
+   checkpoint encodes), and the robust detection scale's rolling-median
+   pass. *)
 let resilience_tests =
   [
     Test.make ~name:"resilience/engine-per-bin-gated"

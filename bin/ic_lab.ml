@@ -4,12 +4,16 @@ let setup_logs verbose =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
 
-(* Unknown names exit through the CLI's error path (the message, the
-   roster, exit 1) before any dataset is generated or fit. *)
-let reject_unknown kind name roster =
-  Printf.eprintf "unknown %s %s\navailable: %s\n" kind name
-    (String.concat ", " roster);
+(* The CLI's error path: the message on stderr, exit 1. Unknown names and
+   malformed arguments take it before any dataset is generated or fit. *)
+let reject msg =
+  prerr_endline msg;
   exit 1
+
+let reject_unknown kind name roster =
+  reject
+    (Printf.sprintf "unknown %s %s\navailable: %s" kind name
+       (String.concat ", " roster))
 
 let of_roster kind roster name =
   match List.assoc_opt name roster with
@@ -63,12 +67,11 @@ let run_experiments ids stride out_dir verbose =
       (fun id -> Option.is_none (Ic_experiments.Registry.find id))
       targets
   in
-  if missing <> [] then begin
-    Printf.eprintf "unknown experiment(s): %s\navailable: %s\n"
-      (String.concat ", " missing)
-      (String.concat ", " Ic_experiments.Registry.ids);
-    exit 1
-  end;
+  if missing <> [] then
+    reject
+      (Printf.sprintf "unknown experiment(s): %s\navailable: %s"
+         (String.concat ", " missing)
+         (String.concat ", " Ic_experiments.Registry.ids));
   List.iter
     (fun id ->
       let run = Option.get (Ic_experiments.Registry.find id) in
@@ -262,9 +265,7 @@ let run_whatif node boost f_new seed topology_file =
     | Some path -> begin
         match Ic_topology.Topo_io.load path with
         | Ok g -> g
-        | Error e ->
-            Printf.eprintf "bad topology file %s: %s\n" path e;
-            exit 1
+        | Error e -> reject (Printf.sprintf "bad topology file %s: %s" path e)
       end
   in
   let node =
@@ -393,9 +394,7 @@ let run_stream_sharded which series routing config ~shards ~jobs ~total
                 Ic_runtime.Shard.load ~tracer ~path:checkpoint_path ~pool
                   (specs ())
               with
-              | Error e ->
-                  prerr_endline e;
-                  exit 1
+              | Error e -> reject e
               | Ok fleet1 ->
                   let combined = Ic_runtime.Shard.run fleet1 in
                   let shadow = uninterrupted () in
@@ -543,9 +542,7 @@ let run_stream which weeks seed bins drop_rate corrupt_rate noise open_loop
           match
             Ic_runtime.Checkpoint.load ~path:checkpoint_path ~config
           with
-          | Error e ->
-              prerr_endline e;
-              exit 1
+          | Error e -> reject e
           | Ok engine1 ->
               (* The restored sink already carries the head's feed.*
                  counts, and skip counts nothing, so resumed totals equal
@@ -842,12 +839,19 @@ let run_scenario topology family bins seed noise drop_rate corrupt_rate fails
       bins;
     }
   in
+  let events =
+    match parse_events ~fails ~reweights ~ddoses ~flashes ~outages with
+    | [] -> default_events graph bins
+    | events -> events
+    | exception Invalid_argument msg -> reject msg
+  in
+  let schedule = { Ic_scenario.Schedule.seed = seed_v; events } in
+  (match Ic_scenario.Timeline.check ~graph ~bins schedule with
+  | Ok () -> ()
+  | Error msg -> reject msg);
   let base =
     Ic_core.Tm_family.generate fam spec (Ic_prng.Rng.create seed_v)
   in
-  let events = parse_events ~fails ~reweights ~ddoses ~flashes ~outages in
-  let events = if events = [] then default_events graph bins else events in
-  let schedule = { Ic_scenario.Schedule.seed = seed_v; events } in
   let tl = Ic_scenario.Timeline.compile ~graph ~base schedule in
   let total = Ic_scenario.Timeline.bins tl in
   let config =
@@ -929,9 +933,7 @@ let run_scenario topology family bins seed noise drop_rate corrupt_rate fails
           match
             Ic_runtime.Checkpoint.load ~path:checkpoint_path ~config
           with
-          | Error e ->
-              prerr_endline e;
-              exit 1
+          | Error e -> reject e
           | Ok engine1 ->
               let feed = mk_feed engine1 in
               Ic_runtime.Feed.skip feed k;
@@ -1079,9 +1081,7 @@ let run_serve which weeks seed bins socket port workers queue_cap max_inflight
         if not resume then engine0
         else begin
           match Ic_runtime.Checkpoint.load ~path:checkpoint_path ~config with
-          | Error e ->
-              prerr_endline e;
-              exit 1
+          | Error e -> reject e
           | Ok engine1 ->
               let feed = fresh_feed () in
               Ic_runtime.Feed.skip feed k;

@@ -138,6 +138,23 @@ let gravity_prior ctx =
   if Vec.sum ctx.ingress <= 0. || Vec.sum ctx.egress <= 0. then Tm.create n
   else Ic_gravity.Gravity.from_marginals ~ingress:ctx.ingress ~egress:ctx.egress
 
+(* The stable-fP prior (Equations 7-9): activities recovered from the
+   bin's marginals under known (f, preference), then the simplified model.
+   [cache] carries the (f, preference)-dependent design and factor across
+   bins; it must have been made from the same f and preference. An
+   all-idle bin gets the zero matrix, as in [gravity_prior]. *)
+let ic_prior ?cache ~f ~preference ctx =
+  let ingress = ctx.ingress and egress = ctx.egress in
+  if Vec.sum ingress <= 0. || Vec.sum egress <= 0. then
+    Tm.create (Array.length ingress)
+  else
+    let activity =
+      match cache with
+      | Some c -> Ic_core.Estimate_a.activities_cached c ~ingress ~egress
+      | None -> Ic_core.Estimate_a.activities ~f ~preference ~ingress ~egress
+    in
+    Ic_core.Model.simplified ~f ~activity ~preference
+
 (* Step-3 projection onto the measured marginals, exactly as the classic
    pipeline applies it (including the all-idle guard). *)
 let ipf_project ctx tm =
@@ -370,15 +387,8 @@ module Ic_est = struct
           ]
 
   let prior state ctx =
-    let f = (slab state "f").(0) in
-    let preference = slab state "preference" in
-    if Vec.sum ctx.ingress <= 0. then gravity_prior ctx
-    else
-      let activity =
-        Ic_core.Estimate_a.activities ~f ~preference ~ingress:ctx.ingress
-          ~egress:ctx.egress
-      in
-      Ic_core.Model.simplified ~f ~activity ~preference
+    ic_prior ~f:(slab state "f").(0) ~preference:(slab state "preference")
+      ctx
 
   let refine _state ctx ~prior = tomogravity_refine ctx ~prior
   let project _state ctx tm = ipf_project ctx tm

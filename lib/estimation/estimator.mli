@@ -135,6 +135,19 @@ val gravity_prior : ctx -> Ic_traffic.Tm.t
 (** Generalized gravity from the bin's measured marginals; the zero matrix
     for an all-idle bin. *)
 
+val ic_prior :
+  ?cache:Ic_core.Estimate_a.cache ->
+  f:float ->
+  preference:Ic_linalg.Vec.t ->
+  ctx ->
+  Ic_traffic.Tm.t
+(** The stable-fP prior: activities recovered from the bin's marginals
+    under [(f, preference)] (Equations 7-9), then the simplified model; the
+    zero matrix when either marginal total is [<= 0]. With [cache] (made
+    by {!Ic_core.Estimate_a.make_cache} from the same [f] and
+    [preference]) the activity solve reuses its factor, bit-identical to
+    the uncached solve. *)
+
 val ipf_project : ctx -> Ic_traffic.Tm.t -> Ic_traffic.Tm.t
 (** IPF onto the measured marginals (identity for an all-idle bin). *)
 

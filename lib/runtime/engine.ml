@@ -14,11 +14,8 @@ type config = {
   window : int;
   refit_sweeps : int;
   stale_after : int;
-  miss_soft : float;
-  miss_hard : float;
   impute_budget : int;
   recover_after : int;
-  fallback_f : float;
   initial_params : (float * Ic_linalg.Vec.t) option;
   fast_path : bool;
   gate_refits : bool;
@@ -37,11 +34,8 @@ let default_config routing binning =
     window = day;
     refit_sweeps = 6;
     stale_after = 2 * day;
-    miss_soft = 0.2;
-    miss_hard = 0.5;
     impute_budget = 2;
     recover_after = 12;
-    fallback_f = 0.35;
     initial_params = None;
     fast_path = true;
     gate_refits = false;
@@ -50,6 +44,14 @@ let default_config routing binning =
     epoch_refit = None;
     estimator = "ic";
   }
+
+(* Missing-poll fractions above which the prior drops to the closed form
+   and to gravity, and the forward fraction assumed before any fit. *)
+let miss_soft = 0.2
+
+let miss_hard = 0.5
+
+let fallback_f = 0.35
 
 type t = {
   config : config;
@@ -109,12 +111,8 @@ let validate_config (c : config) =
   if c.window < 1 then invalid_arg "Engine: window must be >= 1";
   if c.refit_sweeps < 1 then invalid_arg "Engine: refit_sweeps must be >= 1";
   if c.stale_after < 1 then invalid_arg "Engine: stale_after must be >= 1";
-  if c.miss_soft < 0. || c.miss_soft > 1. || c.miss_hard < c.miss_soft then
-    invalid_arg "Engine: need 0 <= miss_soft <= miss_hard";
   if c.impute_budget < 0 then invalid_arg "Engine: negative impute_budget";
   if c.recover_after < 1 then invalid_arg "Engine: recover_after must be >= 1";
-  if c.fallback_f < 0. || c.fallback_f > 1. then
-    invalid_arg "Engine: fallback_f out of [0,1]";
   if c.gate_threshold <= 0. then
     invalid_arg "Engine: gate_threshold must be positive";
   if c.quarantine_limit < 1 then
@@ -148,7 +146,7 @@ let create ?telemetry ?(tracer = Trace.noop) config =
   let f, preference, fit_age, initial_level =
     match config.initial_params with
     | Some (f, p) -> (f, Some (Array.copy p), 0, Degrade.Measured_ic)
-    | None -> (config.fallback_f, None, max_int, Degrade.Gravity)
+    | None -> (fallback_f, None, max_int, Degrade.Gravity)
   in
   (* A plugged-in estimator owns its own calibration, so the ladder's fit
      component never holds it below full service. *)
@@ -325,9 +323,9 @@ let target_level t ~miss_frac ~over_budget =
   in
   let miss_target, miss_reason =
     if over_budget then (Degrade.Gravity, Degrade.Imputation_exhausted)
-    else if miss_frac > t.config.miss_hard then
+    else if miss_frac > miss_hard then
       (Degrade.Gravity, Degrade.Polls_missing)
-    else if miss_frac > t.config.miss_soft then
+    else if miss_frac > miss_soft then
       (Degrade.Closed_form, Degrade.Polls_missing)
     else (Degrade.Measured_ic, Degrade.Polls_missing)
   in
@@ -341,37 +339,30 @@ let target_level t ~miss_frac ~over_budget =
     (Degrade.Gravity, Degrade.F_degenerate)
   else (target, reason)
 
-let build_prior t level ~ingress ~egress =
-  let in_total = Vec.sum ingress and out_total = Vec.sum egress in
-  if in_total <= 0. || out_total <= 0. then Tm.create t.n
-  else
-    match (level : Degrade.level) with
-    | Measured_ic | Stale_fp ->
-        let preference =
-          match t.preference with
-          | Some p -> p
-          | None -> invalid_arg "Engine: IC rung without a fit (bug)"
-        in
-        let activity =
-          if t.config.fast_path then begin
-            (* The activity design and its Gram depend only on the frozen
-               (f, preference); the cache is dropped on refit. *)
-            let cache =
-              match t.prior_cache with
-              | Some c -> c
-              | None ->
-                  let c =
-                    Ic_core.Estimate_a.make_cache ~f:t.f ~preference
-                  in
-                  t.prior_cache <- Some c;
-                  c
-            in
-            Ic_core.Estimate_a.activities_cached cache ~ingress ~egress
-          end
-          else Ic_core.Estimate_a.activities ~f:t.f ~preference ~ingress ~egress
-        in
-        Ic_core.Model.simplified ~f:t.f ~activity ~preference
-    | Closed_form -> begin
+let build_prior t level (ctx : Estimator.ctx) =
+  match (level : Degrade.level) with
+  | Measured_ic | Stale_fp ->
+      let preference =
+        match t.preference with
+        | Some p -> p
+        | None -> invalid_arg "Engine: IC rung without a fit (bug)"
+      in
+      let cache =
+        if not t.config.fast_path then None
+        else begin
+          (* The activity design and its Gram depend only on the frozen
+             (f, preference); the cache is dropped on refit. *)
+          if Option.is_none t.prior_cache then
+            t.prior_cache <-
+              Some (Ic_core.Estimate_a.make_cache ~f:t.f ~preference);
+          t.prior_cache
+        end
+      in
+      Estimator.ic_prior ?cache ~f:t.f ~preference ctx
+  | Closed_form ->
+      let ingress = ctx.ingress and egress = ctx.egress in
+      if Vec.sum ingress <= 0. || Vec.sum egress <= 0. then Tm.create t.n
+      else begin
         match Ic_core.Closed_form.estimate ~f:t.f ~ingress ~egress with
         | Ok { activity; preference } ->
             Ic_core.Model.simplified ~f:t.f ~activity ~preference
@@ -380,7 +371,7 @@ let build_prior t level ~ingress ~egress =
             Telemetry.incr t.tel "prior.f_near_half";
             Ic_gravity.Gravity.from_marginals ~ingress ~egress
       end
-    | Gravity -> Ic_gravity.Gravity.from_marginals ~ingress ~egress
+  | Gravity -> Estimator.gravity_prior ctx
 
 (* Weight freezing: the link constraints hold at the tomogravity solution
    for any psd weight matrix — the weights only pick the least-norm geometry
@@ -535,7 +526,7 @@ let step t ~loads ~missing =
         (* The native ic path: the ladder-rung prior, a refine with
            regime-frozen weights, and IPF with its iteration count. *)
         run_stages t level
-          ~prior:(fun () -> build_prior t level ~ingress ~egress)
+          ~prior:(fun () -> build_prior t level ctx)
           ~refine:(fun prior ->
             Estimator.tomogravity_refine
               ?weights:(regime_weights t level ~prior)
@@ -650,8 +641,6 @@ let transitions t = Degrade.transitions t.degrade
 let config t = t.config
 
 let routing t = t.routing
-
-let estimator_name t = t.config.estimator
 
 (* --- topology changes --------------------------------------------------- *)
 

@@ -24,15 +24,10 @@ type config = {
   stale_after : int;
       (** fit age (bins) beyond which [Measured_ic] degrades to
           [Stale_fp] *)
-  miss_soft : float;
-      (** missing-poll fraction above which the prior drops to the closed
-          form *)
-  miss_hard : float;  (** fraction above which it drops to gravity *)
   impute_budget : int;
       (** consecutive carry-forward polls tolerated per link before the
           ladder drops to gravity *)
   recover_after : int;  (** healthy bins per upward ladder step *)
-  fallback_f : float;  (** forward fraction assumed before any fit exists *)
   initial_params : (float * Ic_linalg.Vec.t) option;
       (** a pre-calibrated [(f, preference)], treated as a fit completed at
           bin 0 (the engine starts at [Measured_ic]) *)
@@ -91,9 +86,8 @@ type config = {
 val default_config :
   Ic_topology.Routing.t -> Ic_timeseries.Timebin.t -> config
 (** Daily refit window and period, 6 warm sweeps, staleness at two refit
-    periods, soft/hard missing thresholds 0.2/0.5, imputation budget 2,
-    recovery after 12 healthy bins, fallback [f] 0.35, cold start, fast
-    path enabled; the resilience knobs conservative and off —
+    periods, imputation budget 2, recovery after 12 healthy bins, cold
+    start, fast path enabled; the resilience knobs conservative and off —
     [gate_refits = false], threshold 4, quarantine limit 6,
     [epoch_refit = None]; the native ["ic"] estimator. *)
 
@@ -150,9 +144,6 @@ val config : t -> config
 val routing : t -> Ic_topology.Routing.t
 (** The routing the engine is currently solving against: [config.routing]
     until the first {!set_routing}, then whatever was last installed. *)
-
-val estimator_name : t -> string
-(** [config.estimator] — ["ic"] on the native path. *)
 
 val set_routing : ?degrade:bool -> t -> Ic_topology.Routing.t -> unit
 (** Install a new routing mid-stream (a link failure/recovery or IGP

@@ -379,15 +379,6 @@ let next t =
         end
   end
 
-let next_quiet t =
-  (* [next] with the counters suppressed, state transitions intact — the
-     resume path re-drawing an observation that was already drawn (and
-     counted) before a kill. *)
-  t.counting <- false;
-  let r = next t in
-  t.counting <- true;
-  r
-
 let skip t k =
   (* A resumed engine's restored counters already include the skipped bins'
      feed outcomes (they were counted live before the kill), so the

@@ -147,12 +147,6 @@ val next : t -> (Ic_linalg.Vec.t * bool array) option
 (** The next bin's observation: measured loads (one per routing row) and
     the dropped-poll flags. [None] when the replay is exhausted. *)
 
-val next_quiet : t -> (Ic_linalg.Vec.t * bool array) option
-(** {!next} with the fault counters suppressed (stream state, breaker
-    transitions and the delivered values are identical). For resume paths
-    re-drawing an observation that was already delivered — and counted —
-    before a kill, so resume totals still equal the uninterrupted run's. *)
-
 val skip : t -> int -> unit
 (** [skip t k] advances past [k] bins, drawing and discarding their
     observations so the stream state stays identical to a feed that

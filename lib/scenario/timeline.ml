@@ -289,6 +289,22 @@ let topo_notes ~bins events =
 
 (* --- compilation -------------------------------------------------------- *)
 
+let check ~graph ~bins (schedule : Schedule.t) =
+  match
+    Schedule.validate ~bins schedule;
+    List.iter
+      (function
+        | Schedule.Ddos { victim = v; _ }
+        | Schedule.Flash_crowd { node = v; _ }
+        | Schedule.Outage { node = v; _ } ->
+            ignore (node graph v : int)
+        | Schedule.Link_fail _ | Schedule.Reweight _ -> ())
+      schedule.Schedule.events;
+    epochs_of ~graph ~bins (topo_changes graph schedule.Schedule.events)
+  with
+  | (_ : epoch array) -> Ok ()
+  | exception Invalid_argument msg -> Error msg
+
 let compile ~graph ~base (schedule : Schedule.t) =
   let bins = Series.length base in
   Schedule.validate ~bins schedule;

@@ -56,6 +56,14 @@ val compile :
     does not match the graph or carries no traffic, or a failure set that
     disconnects the residual topology. *)
 
+val check :
+  graph:Ic_topology.Graph.t -> bins:int -> Schedule.t -> (unit, string) result
+(** Every rejection {!compile} can make without the base series — a
+    schedule failing {!Schedule.validate} over [bins], an unknown node or
+    link name, a failure set that disconnects the topology — as an
+    [Error] message, so a caller can refuse a schedule before generating
+    any traffic. *)
+
 val base_routing : t -> Ic_topology.Routing.t
 (** [epochs.(0).routing] — what the engine config should be built from. *)
 

@@ -23,7 +23,11 @@
 # rand() under a fixed seed, so a rerun prints the same interval), the
 # ratio of medians is taken for each resample, and its 2.5th and 97.5th
 # percentiles are printed. An interval that excludes 1 is a change the
-# rounds resolve; with 3 rounds the interval is coarse. The direction
+# rounds resolve. With fewer than 6 rounds the column reads
+# "n/a (<6 rounds)" instead: so few pairs make the interval too narrow to
+# trust (a 3-round A/A run of a revision against itself excluded 1 on two
+# metrics, since a clean sweep of n pairs happens 2/2^n of the time with
+# no change at all). The direction
 # comes from BENCHMARK.json's "better" (read with jq when it is
 # installed); equal values count for neither side. The exit status is the
 # spread's. The run outputs are kept in the directory printed at the
@@ -126,19 +130,22 @@ directions | while read -r name better; do
       for (i = 1; i <= n; i++) { sb[i] = b[i]; sh[i] = h[i] }
       mb = median(sb, n); mh = median(sh, n)
       ratio = mb == 0 ? "n/a" : sprintf("%.4f", mh / mb)
-      srand(20261018)
-      resamples = 2000; kept = 0
-      for (s = 1; s <= resamples; s++) {
-        for (i = 1; i <= n; i++) { k = int(rand() * n) + 1; sb[i] = b[k]; sh[i] = h[k] }
-        rb = median(sb, n)
-        if (rb != 0) r[++kept] = median(sh, n) / rb
-      }
-      ci = "n/a"
-      if (kept > 0) {
-        sort(r, kept)
-        lo = int(0.025 * kept); if (lo < 1) lo = 1
-        hi = int(0.975 * kept + 0.999999); if (hi > kept) hi = kept
-        ci = sprintf("[%.4f, %.4f]", r[lo], r[hi])
+      ci = "n/a (<6 rounds)"
+      if (n >= 6) {
+        srand(20261018)
+        resamples = 2000; kept = 0
+        for (s = 1; s <= resamples; s++) {
+          for (i = 1; i <= n; i++) { k = int(rand() * n) + 1; sb[i] = b[k]; sh[i] = h[k] }
+          rb = median(sb, n)
+          if (rb != 0) r[++kept] = median(sh, n) / rb
+        }
+        ci = "n/a"
+        if (kept > 0) {
+          sort(r, kept)
+          lo = int(0.025 * kept); if (lo < 1) lo = 1
+          hi = int(0.975 * kept + 0.999999); if (hi > kept) hi = kept
+          ci = sprintf("[%.4f, %.4f]", r[lo], r[hi])
+        }
       }
       printf "%-18s %10s %21s %6d/%d\n", name, ratio, ci, won, n
     }'

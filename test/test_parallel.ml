@@ -312,6 +312,40 @@ let test_shard_load_errors () =
       | Ok _ -> Alcotest.fail "garbage must be Error");
       Sys.remove path)
 
+let test_shard_load_rejects_supervisor_record () =
+  (* Fleet files once carried optional per-shard crash-recovery records
+     between the snapshots and the end marker. Such a file is now a
+     malformed fleet checkpoint: load must say so as a value. *)
+  let path = Filename.temp_file "ic_shards" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Pool.with_pool ~jobs:1 (fun pool ->
+          let fleet =
+            Shard.create ~pool (mk_specs ~shards:2 ~bins_per_shard:4)
+          in
+          ignore (Shard.run ~max_bins:2 fleet);
+          Shard.save ~path fleet;
+          let ic = open_in_bin path in
+          let text = really_input_string ic (in_channel_length ic) in
+          close_in ic;
+          let body = String.sub text 0 (String.length text - 4) in
+          Alcotest.(check string) "fleet file ends with the marker" "end\n"
+            (String.sub text (String.length text - 4) 4);
+          let oc = open_out_bin path in
+          output_string oc
+            (body ^ "supervisor s0 1 0 1\nsupervisor s1 0 0 0\nend\n");
+          close_out oc;
+          match
+            Shard.load ~path ~pool (mk_specs ~shards:2 ~bins_per_shard:4)
+          with
+          | Error e ->
+              Alcotest.(check bool) "names the shards file" true
+                (String.starts_with ~prefix:"shards: " e)
+          | Ok _ -> Alcotest.fail "a supervisor record must be Error"
+          | exception e ->
+              Alcotest.failf "load raised %s" (Printexc.to_string e)))
+
 let () =
   Alcotest.run "parallel"
     [
@@ -346,5 +380,7 @@ let () =
           Alcotest.test_case "checkpoint roundtrip" `Quick
             test_shard_checkpoint_roundtrip;
           Alcotest.test_case "load errors" `Quick test_shard_load_errors;
+          Alcotest.test_case "load rejects supervisor records" `Quick
+            test_shard_load_rejects_supervisor_record;
         ] );
     ]

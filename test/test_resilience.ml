@@ -1,8 +1,7 @@
 (* The self-healing runtime: bounded degrade history, feed ingest guards,
    the collector circuit breaker, anomaly-gated refits with their escape
-   hatch, epoch-aware early refits, supervised crash recovery, and the
-   robust detection scale — plus the kill/resume bit-identity of all of it
-   together. *)
+   hatch, epoch-aware early refits, and the robust detection scale — plus
+   the kill/resume bit-identity of all of it together. *)
 
 module Vec = Ic_linalg.Vec
 module Tm = Ic_traffic.Tm
@@ -21,9 +20,7 @@ module Feed = Ic_runtime.Feed
 module Degrade = Ic_runtime.Degrade
 module Telemetry = Ic_runtime.Telemetry
 module Checkpoint = Ic_runtime.Checkpoint
-module Shard = Ic_runtime.Shard
 module Replay = Ic_runtime.Replay
-module Pool = Ic_parallel.Pool
 
 let binning = Ic_timeseries.Timebin.five_min
 
@@ -336,185 +333,6 @@ let test_epoch_refit_after_routing_change () =
   Alcotest.(check bool) "level-preserving" true
     (note.Degrade.from_ = note.Degrade.to_)
 
-(* --- supervised crash recovery -------------------------------------------- *)
-
-let shard_graph = Topologies.abilene_like ()
-
-let shard_routing = Ic_topology.Routing.build shard_graph
-
-let shard_config () =
-  {
-    (Engine.default_config shard_routing binning) with
-    Engine.refit_every = 6;
-    window = 12;
-    recover_after = 3;
-  }
-
-let shard_series ~bins ~seed =
-  let spec =
-    {
-      Ic_core.Synth.default_spec with
-      nodes = Graph.node_count shard_graph;
-      binning;
-      bins;
-      mean_total_bytes = 1e9;
-    }
-  in
-  (Ic_core.Synth.generate spec (Rng.create seed)).Ic_core.Synth.series
-
-let mk_spec ?(name = "s0") ~bins ~seed () =
-  {
-    Shard.name;
-    config = shard_config ();
-    feed =
-      Feed.create ~noise_sigma:0.01 ~drop_rate:0.05 shard_routing
-        (shard_series ~bins ~seed)
-        ~seed:(seed + 100);
-  }
-
-let solo_estimates ~bins ~seed =
-  let spec = mk_spec ~bins ~seed () in
-  let engine = Engine.create spec.Shard.config in
-  let out = ref [] in
-  let rec loop () =
-    match Feed.next spec.Shard.feed with
-    | None -> ()
-    | Some (loads, missing) ->
-        out := (Engine.step engine ~loads ~missing).Engine.estimate :: !out;
-        loop ()
-  in
-  loop ();
-  Array.of_list (List.rev !out)
-
-let test_supervised_restart_bit_identical () =
-  (* One injected crash: the supervisor restores the engine from its
-     per-bin snapshot, waits out the backoff, retries the same observation
-     — and the results are bit-identical to a run that never crashed. *)
-  let bins = 16 in
-  let chaos _name bin attempt = bin = 5 && attempt = 1 in
-  let results, health, restarts, counters =
-    Pool.with_pool ~jobs:2 (fun pool ->
-        let fleet =
-          Shard.create ~pool ~supervise:Shard.default_supervise ~chaos
-            [ mk_spec ~bins ~seed:21 () ]
-        in
-        let r = Shard.run ~round_bins:4 fleet in
-        (r, Shard.health fleet, Shard.restarts fleet,
-         Shard.merged_counters fleet))
-  in
-  let _, (r : Replay.result) = List.hd results in
-  Alcotest.(check bool) "bit-identical to crash-free" true
-    (Replay.bit_identical r.Replay.estimates (solo_estimates ~bins ~seed:21));
-  Alcotest.(check bool) "fleet healthy" true (health = `Ok);
-  Alcotest.(check (list (pair string int))) "one restart" [ ("s0", 1) ]
-    restarts;
-  let count name =
-    try List.assoc name counters with Not_found -> 0
-  in
-  Alcotest.(check int) "crash counted" 1 (count "supervisor.crashes");
-  Alcotest.(check int) "restart counted" 1 (count "supervisor.restarts");
-  Alcotest.(check int) "one backoff bin" 1 (count "supervisor.backoff.bins");
-  Alcotest.(check int) "no give-up" 0 (count "supervisor.gave_up")
-
-let test_supervisor_backoff_doubles () =
-  (* Crash the same bin three times, succeed on the fourth try: backoffs
-     1, 2, 4 budget bins (base 1, doubling), all within max_restarts = 3,
-     and the stream still finishes bit-identical. *)
-  let bins = 14 in
-  let chaos _name bin attempt = bin = 4 && attempt <= 3 in
-  let results, health, counters =
-    Pool.with_pool ~jobs:1 (fun pool ->
-        let fleet =
-          Shard.create ~pool ~supervise:Shard.default_supervise ~chaos
-            [ mk_spec ~bins ~seed:22 () ]
-        in
-        let r = Shard.run ~round_bins:4 fleet in
-        (r, Shard.health fleet, Shard.merged_counters fleet))
-  in
-  let _, (r : Replay.result) = List.hd results in
-  Alcotest.(check bool) "finished bit-identical" true
-    (Replay.bit_identical r.Replay.estimates (solo_estimates ~bins ~seed:22));
-  Alcotest.(check bool) "still healthy" true (health = `Ok);
-  let count name = try List.assoc name counters with Not_found -> 0 in
-  Alcotest.(check int) "three crashes" 3 (count "supervisor.crashes");
-  Alcotest.(check int) "backoff 1+2+4" 7 (count "supervisor.backoff.bins")
-
-let test_supervisor_gives_up () =
-  (* A permanently crashing bin: after max_restarts the shard gives up —
-     a degraded verdict with results up to the last good bin, never a
-     hang or a crash loop. *)
-  let bins = 12 in
-  let chaos _name bin _attempt = bin = 3 in
-  let results, health, counters =
-    Pool.with_pool ~jobs:2 (fun pool ->
-        let fleet =
-          Shard.create ~pool
-            ~supervise:
-              { Shard.max_restarts = 2; backoff_base = 1; backoff_cap = 4 }
-            ~chaos
-            [ mk_spec ~name:"dying" ~bins ~seed:23 () ]
-        in
-        let r = Shard.run ~round_bins:4 fleet in
-        (r, Shard.health fleet, Shard.merged_counters fleet))
-  in
-  let _, (r : Replay.result) = List.hd results in
-  Alcotest.(check int) "stopped at the crashing bin" 3
-    (Array.length r.Replay.estimates);
-  Alcotest.(check bool) "degraded verdict" true
-    (health = `Degraded [ "dying" ]);
-  let count name = try List.assoc name counters with Not_found -> 0 in
-  Alcotest.(check int) "gave up once" 1 (count "supervisor.gave_up");
-  Alcotest.(check int) "crashes = restarts allowed + 1" 3
-    (count "supervisor.crashes")
-
-let supervisor_resume_prop (kill_at, seed) =
-  (* Kill/resume straddling a supervised crash at random points: the
-     resumed fleet — restart counts, backoff, pending retry included —
-     finishes bit-identical to the uninterrupted supervised run. *)
-  let bins = 14 in
-  let kill_at = 1 + (kill_at mod (bins - 1)) in
-  let chaos _name bin attempt = bin = 6 && attempt = 1 in
-  let supervise =
-    { Shard.max_restarts = 3; backoff_base = 2; backoff_cap = 8 }
-  in
-  let path = Filename.temp_file "ic-resilience" ".fleet" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Pool.with_pool ~jobs:1 (fun pool ->
-          let full =
-            let fleet =
-              Shard.create ~pool ~supervise ~chaos
-                [ mk_spec ~bins ~seed () ]
-            in
-            let r = Shard.run ~round_bins:4 fleet in
-            (snd (List.hd r)).Replay.estimates
-          in
-          let head =
-            let fleet =
-              Shard.create ~pool ~supervise ~chaos
-                [ mk_spec ~bins ~seed () ]
-            in
-            let r = Shard.run ~max_bins:kill_at ~round_bins:4 fleet in
-            Shard.save ~path fleet;
-            (snd (List.hd r)).Replay.estimates
-          in
-          match
-            Shard.load ~supervise ~chaos ~path ~pool
-              [ mk_spec ~bins ~seed () ]
-          with
-          | Error e -> Alcotest.fail e
-          | Ok resumed ->
-              let r = Shard.run ~round_bins:4 resumed in
-              let tail = (snd (List.hd r)).Replay.estimates in
-              Replay.bit_identical (Array.append head tail) full))
-
-let qcheck_supervisor_resume =
-  QCheck.Test.make ~count:10
-    ~name:"supervised kill/resume is bit-identical (random kill points)"
-    QCheck.(pair (int_range 0 100) (int_range 0 1000))
-    supervisor_resume_prop
-
 (* --- full-stack kill/resume ----------------------------------------------- *)
 
 let self_heal_resume_prop (kill_at, seed) =
@@ -744,16 +562,6 @@ let () =
         [
           Alcotest.test_case "early refit after set_routing" `Quick
             test_epoch_refit_after_routing_change;
-        ] );
-      ( "supervision",
-        [
-          Alcotest.test_case "restart is bit-identical" `Quick
-            test_supervised_restart_bit_identical;
-          Alcotest.test_case "backoff doubles to the cap" `Quick
-            test_supervisor_backoff_doubles;
-          Alcotest.test_case "gives up, never hangs" `Quick
-            test_supervisor_gives_up;
-          QCheck_alcotest.to_alcotest qcheck_supervisor_resume;
         ] );
       ( "kill-resume",
         [
